@@ -23,16 +23,23 @@ from . import zeta as zs
 DEFAULT_TRUNCATION = 4
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer")
+    return value
+
+
 def _truncation_default() -> int:
     raw = os.environ.get("SUPERSDET_TRUNCATION")
     if raw is None:
         return DEFAULT_TRUNCATION
     try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-        return value
-    except ValueError:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError:
         raise SystemExit(f"supersdet: SUPERSDET_TRUNCATION={raw!r} is not a positive integer")
 
 
@@ -129,15 +136,17 @@ def _cmd_lgenus(args) -> int:
 def _cmd_sdet(args) -> int:
     K = args.k if args.k is not None else _truncation_default()
     report = zs.sdet_report(args.n, K, mode=args.mode, pp=args.pp)
+    # the pretty lines render the report's polynomials rather than compute them again
     if args.mode == "formal":
-        sdet_text = str(zs.sdet_formal(args.n, K, pp=args.pp))
+        sdet_text = str(cs.GradedPolynomial.from_json(K, "ph", report["sdet"]))
     else:
         sdet_text = report["sdet"]
+    l_class = cs.GradedPolynomial.from_json(K, "ph", report["l_class"])
     lines = [
         f"n = {report['n']}, K = {report['K']}, mode = {report['mode']}, "
         f"sector = {report['sector']}",
         f"sdet = {sdet_text}",
-        f"signature class (ph variables) = {cs.l_class_in_ph(K)}",
+        f"signature class (ph variables) = {l_class}",
         f"equal = {report['equal']}",
     ]
     _emit(report, lines, args.format)
@@ -212,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_lpoly = sub.add_parser("lpoly", help="print the signature polynomials")
-    p_lpoly.add_argument("--k", type=int, required=True, metavar="K")
+    p_lpoly.add_argument("--k", type=_positive_int, required=True, metavar="K")
     add_format(p_lpoly)
     p_lpoly.set_defaults(func=_cmd_lpoly)
 
@@ -223,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lgenus.set_defaults(func=_cmd_lgenus)
 
     p_sdet = sub.add_parser("sdet", help="superdeterminant report")
-    p_sdet.add_argument("--n", type=int, required=True, help="fiber dimension")
-    p_sdet.add_argument("--k", type=int, default=None,
+    p_sdet.add_argument("--n", type=_positive_int, required=True, help="fiber dimension")
+    p_sdet.add_argument("--k", type=_positive_int, default=None,
                         help="grading truncation (default: SUPERSDET_TRUNCATION or 4)")
     p_sdet.add_argument("--mode", choices=("formal", "concrete"), default="formal")
     p_sdet.add_argument("--pp", action="store_true",
@@ -234,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_zeta = sub.add_parser("zeta", help="exact regularization values")
     p_zeta.add_argument("--what", choices=("product", "trace"), required=True)
-    p_zeta.add_argument("--n", type=int, default=None, help="power for --what product")
-    p_zeta.add_argument("--k", type=int, default=None, help="trace order k for --what trace")
+    p_zeta.add_argument("--n", type=_positive_int, default=None, help="power for --what product")
+    p_zeta.add_argument("--k", type=_positive_int, default=None,
+                        help="trace order k for --what trace")
     p_zeta.add_argument("--bc", choices=("periodic", "antiperiodic"), default="periodic")
     add_format(p_zeta)
     p_zeta.set_defaults(func=_cmd_zeta)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
+from . import terms
 from .gaussian import GaussianRational, ScalarLike
 
 OddMono = Tuple[str, ...]
@@ -25,33 +26,6 @@ TermKey = Tuple[OddMono, EvenMono]
 Coercible = Union[int, Fraction, GaussianRational, "GrassmannElement"]
 
 _EMPTY: EvenMono = ()
-
-
-def _merge_odd(a: OddMono, b: OddMono) -> Optional[Tuple[OddMono, int]]:
-    """Sorted merge of two odd monomials; returns (merged, sign) or None if a
-    generator repeats (the product is then zero)."""
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a)-i odd factors of a
-            if (len(a) - i) % 2 == 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
 
 
 def _mul_even(a: EvenMono, b: EvenMono) -> EvenMono:
@@ -69,18 +43,27 @@ def _mul_even(a: EvenMono, b: EvenMono) -> EvenMono:
     return tuple(sorted(exps.items()))
 
 
+def _combine(a: TermKey, b: TermKey) -> Optional[Tuple[TermKey, int]]:
+    merged = terms.merge_signed(a[0], b[0])
+    if merged is None:
+        return None
+    return (merged[0], _mul_even(a[1], b[1])), merged[1]
+
+
 class GrassmannElement:
     """Immutable element of the ambient Grassmann-with-even-variables algebra."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[TermKey, GaussianRational]] = None):
-        clean: Dict[TermKey, GaussianRational] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = coeff
-        self.terms = clean
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    @staticmethod
+    def _of(clean: Dict[TermKey, GaussianRational]) -> "GrassmannElement":
+        """Wrap a dict the term core returned, which holds no zeros."""
+        out = GrassmannElement.__new__(GrassmannElement)
+        out.terms = clean
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -111,20 +94,12 @@ class GrassmannElement:
 
     def __add__(self, other: Coercible) -> "GrassmannElement":
         other = GrassmannElement.coerce(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            total = out.get(key, None)
-            total = coeff if total is None else total + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return GrassmannElement(out)
+        return GrassmannElement._of(terms.add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement({k: -c for k, c in self.terms.items()})
+        return GrassmannElement._of(terms.negate(self.terms))
 
     def __sub__(self, other: Coercible) -> "GrassmannElement":
         return self + (-GrassmannElement.coerce(other))
@@ -134,24 +109,8 @@ class GrassmannElement:
 
     def __mul__(self, other: Coercible) -> "GrassmannElement":
         other = GrassmannElement.coerce(other)
-        out: Dict[TermKey, GaussianRational] = {}
-        for (odd_a, even_a), ca in self.terms.items():
-            for (odd_b, even_b), cb in other.terms.items():
-                merged = _merge_odd(odd_a, odd_b)
-                if merged is None:
-                    continue
-                odd_ab, sign = merged
-                key = (odd_ab, _mul_even(even_a, even_b))
-                coeff = ca * cb
-                if sign < 0:
-                    coeff = -coeff
-                total = out.get(key, None)
-                total = coeff if total is None else total + coeff
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        return GrassmannElement(out)
+        return GrassmannElement._of(
+            terms.product(self.terms.items(), other.terms.items(), _combine))
 
     __rmul__ = __mul__
 
@@ -188,9 +147,6 @@ class GrassmannElement:
             return parities.pop()
         return None
 
-    def scalar_part(self) -> GaussianRational:
-        return self.terms.get(((), _EMPTY), GaussianRational(0))
-
     def body(self) -> "GrassmannElement":
         """The part with no odd generators (the 'numerical' shadow)."""
         return GrassmannElement(
@@ -223,15 +179,8 @@ class GrassmannElement:
                 continue
             pos = odd.index(name)
             rest = odd[:pos] + odd[pos + 1:]
-            c = coeff if pos % 2 == 0 else -coeff
-            key = (rest, even)
-            total = out.get(key, None)
-            total = c if total is None else total + c
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return GrassmannElement(out)
+            terms.accumulate(out, (rest, even), coeff if pos % 2 == 0 else -coeff)
+        return GrassmannElement._of(out)
 
     def derive_even(self, images: Mapping[str, "GrassmannElement"]) -> "GrassmannElement":
         """Apply the even derivation sending each named generator/variable to
@@ -266,43 +215,25 @@ class GrassmannElement:
         vp = value.parity()
         if not value.is_zero() and vp != 1:
             raise ValueError(f"substitution for odd generator {name!r} must be odd")
-        acc = GrassmannElement()
-        for (odd, even), coeff in self.terms.items():
-            if name not in odd:
-                acc = acc + GrassmannElement({(odd, even): coeff})
-                continue
-            pos = odd.index(name)
-            rest = odd[:pos] + odd[pos + 1:]
-            c = coeff if pos % 2 == 0 else -coeff
-            # moved the generator to the front, now substitute
-            acc = acc + c * value * GrassmannElement({(rest, even): GaussianRational(1)})
-        return acc
+        # a term holding the generator is moved to the front, which is the left
+        # derivative, and the generator is then replaced by value
+        kept = GrassmannElement._of({k: c for k, c in self.terms.items() if name not in k[0]})
+        return kept + value * self.derivative_odd(name)
 
     def coefficient_of_odd_pair(self, first: str, second: str) -> "GrassmannElement":
-        """Coefficient g in f = ... + g*(first*second): the term is rewritten
-        with the ordered pair moved to the right end (adjacent transpositions,
-        one sign each) and the pair stripped.  Terms missing either generator
-        contribute nothing; remaining odd factors stay in g."""
-        out = GrassmannElement()
+        """Coefficient g in f = ... + g*(first*second): a term containing
+        both generators is rewritten as sign * rest*first*second (sign of the
+        reordering) and contributes sign * coefficient * rest.  Terms missing
+        either generator contribute nothing; remaining odd factors stay in g."""
+        pair, flip = ((first, second), 1) if first < second else ((second, first), -1)
+        out: Dict[TermKey, GaussianRational] = {}
         for (odd, even), coeff in self.terms.items():
             if first not in odd or second not in odd:
                 continue
-            order = list(odd)
-            sign = 1
-            # bubble `second` to the very end, then `first` next to it
-            pos = order.index(second)
-            while pos < len(order) - 1:
-                order[pos], order[pos + 1] = order[pos + 1], order[pos]
-                sign = -sign
-                pos += 1
-            pos = order.index(first)
-            while pos < len(order) - 2:
-                order[pos], order[pos + 1] = order[pos + 1], order[pos]
-                sign = -sign
-                pos += 1
-            rest = tuple(order[:-2])
-            out = out + GrassmannElement({(rest, even): coeff * sign})
-        return out
+            rest = tuple(g for g in odd if g not in pair)
+            sign = terms.merge_signed(rest, pair)[1] * flip
+            terms.accumulate(out, (rest, even), coeff * sign)
+        return GrassmannElement._of(out)
 
     # -- inverses -------------------------------------------------------------
 
@@ -321,21 +252,9 @@ class GrassmannElement:
             {((), tuple((n, -e) for n, e in even0)): GaussianRational(1) / c0}
         )
         rest = (self * lead_inv) - 1
-        if rest.is_zero():
-            return lead_inv
-        # rest is nilpotent: geometric series terminates
-        acc = GrassmannElement.scalar(1)
-        power = GrassmannElement.scalar(1)
-        k = 1
-        while True:
-            power = power * rest
-            if power.is_zero():
-                break
-            acc = acc + (power if k % 2 == 0 else -power)
-            k += 1
-            if k > 64:
-                raise ValueError("element does not look invertible (non-nilpotent tail)")
-        return lead_inv * acc
+        # rest is nilpotent: the geometric series terminates
+        return lead_inv * terms.nilpotent_series(rest, GrassmannElement.scalar(1),
+                                                 lambda j: (-1) ** j, 64)
 
     # -- rendering -------------------------------------------------------------
 

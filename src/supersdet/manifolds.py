@@ -18,6 +18,7 @@ from importlib import resources
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from . import terms
 from .series import l_polynomials
 
 Partition = Tuple[int, ...]  # parts sorted descending
@@ -218,18 +219,10 @@ class CohomologyModel:
         return {}
 
     def add(self, a: Element, b: Element) -> Element:
-        out = dict(a)
-        for k, v in b.items():
-            total = out.get(k, Fraction(0)) + v
-            if total:
-                out[k] = total
-            else:
-                out.pop(k, None)
-        return out
+        return terms.add(a, b)
 
     def scale(self, a: Element, c: Fraction) -> Element:
-        c = Fraction(c)
-        return {k: v * c for k, v in a.items() if v * c}
+        return terms.scale(a, Fraction(c))
 
     def _basis_product(self, x: str, y: str) -> Element:
         if x == self.unit:
@@ -249,11 +242,7 @@ class CohomologyModel:
         for x, cx in a.items():
             for y, cy in b.items():
                 for z, cz in self._basis_product(x, y).items():
-                    total = out.get(z, Fraction(0)) + cx * cy * cz
-                    if total:
-                        out[z] = total
-                    else:
-                        out.pop(z, None)
+                    terms.accumulate(out, z, cx * cy * cz)
         return out
 
     def power(self, a: Element, k: int) -> Element:

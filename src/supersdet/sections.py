@@ -19,37 +19,22 @@ derivative terms cancel precisely on r^{deg/2}.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from . import terms
 from .gaussian import GaussianRational, I, ScalarLike
 
 PolyKey = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (monomial exponents, form indices)
 
 
-def _merge_indices(a: Tuple[int, ...], b: Tuple[int, ...]) -> Optional[Tuple[Tuple[int, ...], int]]:
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out: List[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2 == 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
+def _combine_forms(a: PolyKey, b: PolyKey):
+    merged = terms.merge_signed(a[1], b[1])
+    if merged is None:
+        return None
+    return (tuple(map(operator.add, a[0], b[0])), merged[0]), merged[1]
 
 
 class PolyForm:
@@ -102,46 +87,26 @@ class PolyForm:
     def __add__(self, other: "PolyForm") -> "PolyForm":
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            total = out.get(key, GaussianRational(0)) + c
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return PolyForm(self.n, out)
+        return PolyForm(self.n, terms.add(self.terms, other.terms))
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + (-other)
 
     def __neg__(self) -> "PolyForm":
-        return PolyForm(self.n, {k: -c for k, c in self.terms.items()})
+        return PolyForm(self.n, terms.negate(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, PolyForm):
             return self.wedge(other)
-        c = GaussianRational.coerce(other)
-        return PolyForm(self.n, {k: v * c for k, v in self.terms.items()})
+        return PolyForm(self.n, terms.scale(self.terms, GaussianRational.coerce(other)))
 
     __rmul__ = __mul__
 
     def wedge(self, other: "PolyForm") -> "PolyForm":
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        out: Dict[PolyKey, GaussianRational] = {}
-        for (ea, sa), ca in self.terms.items():
-            for (eb, sb), cb in other.terms.items():
-                merged = _merge_indices(sa, sb)
-                if merged is None:
-                    continue
-                idxs, sign = merged
-                key = (tuple(x + y for x, y in zip(ea, eb)), idxs)
-                total = out.get(key, GaussianRational(0)) + ca * cb * sign
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        return PolyForm(self.n, out)
+        return PolyForm(self.n, terms.product(self.terms.items(), other.terms.items(),
+                                              _combine_forms))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PolyForm):
@@ -158,21 +123,19 @@ class PolyForm:
 
     def d(self) -> "PolyForm":
         """Exterior derivative."""
-        out = PolyForm(self.n)
+        out: Dict[PolyKey, GaussianRational] = {}
         for (exps, idxs), c in self.terms.items():
             for i in range(1, self.n + 1):
                 e = exps[i - 1]
                 if e == 0:
                     continue
-                merged = _merge_indices((i,), idxs)
+                merged = terms.merge_signed((i,), idxs)
                 if merged is None:
                     continue
                 new_idx, sign = merged
-                lowered = list(exps)
-                lowered[i - 1] -= 1
-                key = (tuple(lowered), new_idx)
-                out = out + PolyForm(self.n, {key: c * (e * sign)})
-        return out
+                lowered = exps[:i - 1] + (e - 1,) + exps[i:]
+                terms.accumulate(out, (lowered, new_idx), c * (e * sign))
+        return PolyForm(self.n, out)
 
     def degrees(self) -> Set[int]:
         return {len(idxs) for (_e, idxs) in self.terms}
@@ -180,9 +143,6 @@ class PolyForm:
     def degree_component(self, k: int) -> "PolyForm":
         return PolyForm(self.n, {key: c for key, c in self.terms.items()
                                  if len(key[1]) == k})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def degree(self) -> int:
         degs = self.degrees()
@@ -205,20 +165,17 @@ class PolyForm:
 
         satisfying d K + K d = id on positive-degree forms and
         (K d)(f) = f - f(0) on functions."""
-        out = PolyForm(self.n)
+        out: Dict[PolyKey, GaussianRational] = {}
         for (exps, idxs), c in self.terms.items():
             k = len(idxs)
             if k == 0:
                 continue
             weight = sum(exps) + k
             for j, i in enumerate(idxs):
-                raised = list(exps)
-                raised[i - 1] += 1
+                raised = exps[:i - 1] + (exps[i - 1] + 1,) + exps[i:]
                 rest = idxs[:j] + idxs[j + 1:]
-                sign = (-1) ** j
-                key = (tuple(raised), rest)
-                out = out + PolyForm(self.n, {key: c * Fraction(sign, weight)})
-        return out
+                terms.accumulate(out, (raised, rest), c * Fraction((-1) ** j, weight))
+        return PolyForm(self.n, out)
 
     def is_exact(self) -> bool:
         """Closed positive-degree polynomial forms on R^n are exact; verified
@@ -320,47 +277,21 @@ class Section:
     def __add__(self, other: "Section") -> "Section":
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            total = out.get(key, GaussianRational(0)) + c
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return Section(self.n, out)
+        return Section(self.n, terms.add(self.terms, other.terms))
 
     def __sub__(self, other: "Section") -> "Section":
         return self + (-other)
 
     def __neg__(self) -> "Section":
-        return Section(self.n, {k: -c for k, c in self.terms.items()})
+        return Section(self.n, terms.negate(self.terms))
 
     def __mul__(self, other):
         if not isinstance(other, Section):
-            c = GaussianRational.coerce(other)
-            return Section(self.n, {k: v * c for k, v in self.terms.items()})
+            return Section(self.n, terms.scale(self.terms, GaussianRational.coerce(other)))
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        out: Dict[SectionKey, GaussianRational] = {}
-        for (qa, ra, ea, sa), ca in self.terms.items():
-            for (qb, rb, eb, sb), cb in other.terms.items():
-                if ra + rb > 1:
-                    continue  # rho^2 = 0
-                merged = _merge_indices(sa, sb)
-                if merged is None:
-                    continue
-                idxs, sign = merged
-                # Koszul: move rho_b leftwards past the form part of a
-                if rb == 1 and len(sa) % 2 == 1:
-                    sign = -sign
-                key = (qa + qb, ra + rb,
-                       tuple(x + y for x, y in zip(ea, eb)), idxs)
-                total = out.get(key, GaussianRational(0)) + ca * cb * sign
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        return Section(self.n, out)
+        return Section(self.n, terms.product(self.terms.items(), other.terms.items(),
+                                             _combine_sections))
 
     __rmul__ = __mul__
 
@@ -402,33 +333,40 @@ class Section:
     __repr__ = __str__
 
 
+def _combine_sections(a: SectionKey, b: SectionKey):
+    qa, ra, ea, sa = a
+    qb, rb, eb, sb = b
+    if ra + rb > 1:
+        return None  # rho^2 = 0
+    merged = terms.merge_signed(sa, sb)
+    if merged is None:
+        return None
+    idxs, sign = merged
+    # Koszul: move rho_b leftwards past the form part of a
+    if rb == 1 and len(sa) % 2 == 1:
+        sign = -sign
+    return (qa + qb, ra + rb, tuple(map(operator.add, ea, eb)), idxs), sign
+
+
 def apply_Q(s: Section) -> Section:
     """The supersymmetry generator Q = -2i rho d/dr - d + i (rho/r) deg, with
     d anticommuting past rho.  Q is odd and Q-closedness characterizes the
     supersymmetric sections."""
     out: Dict[SectionKey, GaussianRational] = {}
-
-    def accumulate(key: SectionKey, c: GaussianRational):
-        total = out.get(key, GaussianRational(0)) + c
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
-
     for (q, rho, exps, idxs), c in s.terms.items():
         # -2i rho d/dr and +i (rho/r) deg: kill rho-terms, create a rho
         if rho == 0:
             if q:
-                accumulate((q - 1, 1, exps, idxs), GaussianRational(0, -2) * c * q)
+                terms.accumulate(out, (q - 1, 1, exps, idxs), GaussianRational(0, -2) * c * q)
             deg = len(idxs)
             if deg:
-                accumulate((q - 1, 1, exps, idxs), I * c * deg)
+                terms.accumulate(out, (q - 1, 1, exps, idxs), I * c * deg)
         # -(id (x) d), with the Koszul sign past rho
         form = PolyForm(s.n, {(exps, idxs): c})
         dform = form.d()
         sign = -1 if rho == 0 else 1  # -(+1) without rho, -(-1) with rho
         for (de, ds), dc in dform.terms.items():
-            accumulate((q, rho, de, ds), dc * sign)
+            terms.accumulate(out, (q, rho, de, ds), dc * sign)
     return Section(s.n, out)
 
 
@@ -443,13 +381,13 @@ def q_squared(s: Section) -> Section:
 def rho_d(s: Section) -> Section:
     """The operator rho (x) d (sending rho-terms to zero); Q^2 equals
     -(i/r) times this, an identity the suite establishes on a spanning set."""
-    out = Section(s.n)
+    out: Dict[SectionKey, GaussianRational] = {}
     for (q, rho, exps, idxs), c in s.terms.items():
         if rho:
             continue
-        dform = PolyForm(s.n, {(exps, idxs): c}).d()
-        out = out + Section.from_form(s.n, dform, q, 1)
-    return out
+        for (de, ds), dc in PolyForm(s.n, {(exps, idxs): c}).d().terms.items():
+            terms.accumulate(out, (q, 1, de, ds), dc)
+    return Section(s.n, out)
 
 
 def scale_r(s: Section, power: Fraction) -> Section:
@@ -500,17 +438,14 @@ def to_cocycle(s: Section) -> Cocycle:
         raise ValueError("sections over the vacua carry no rho-dependence")
     if not is_supersymmetric(s):
         raise ValueError("section is not supersymmetric")
-    by_degree: Dict[int, PolyForm] = {}
+    by_degree: Dict[int, Dict[PolyKey, GaussianRational]] = {}
     for (q, _rho, exps, idxs), c in s.terms.items():
         k = len(idxs)
         if q != Fraction(k, 2):
             raise ValueError(f"term of degree {k} carries r^{q}, expected r^{Fraction(k, 2)}")
-        by_degree.setdefault(k, PolyForm(s.n))
-        by_degree[k] = by_degree[k] + PolyForm(s.n, {(exps, idxs): c})
-    out: Cocycle = []
-    for k in sorted(by_degree):
-        out.append((TwoPiPower(Fraction(1), -Fraction(k, 2)), by_degree[k]))
-    return out
+        terms.accumulate(by_degree.setdefault(k, {}), (exps, idxs), c)
+    return [(TwoPiPower(Fraction(1), -Fraction(k, 2)), PolyForm(s.n, by_degree[k]))
+            for k in sorted(by_degree)]
 
 
 def from_cocycle(n: int, pieces: Cocycle) -> Section:
@@ -523,23 +458,3 @@ def from_cocycle(n: int, pieces: Cocycle) -> Section:
                 raise ValueError("two-pi bookkeeping does not match the form degree")
             out = out + power.coefficient * Section.from_form(n, comp, Fraction(k, 2))
     return out
-
-
-def cocycle_to_json(pieces: Cocycle) -> List[dict]:
-    """Stable JSON rendering of a cocycle: one record per monomial with the
-    exact coefficient (real and imaginary parts) and the 2 pi exponent."""
-    records = []
-    for power, form in pieces:
-        for (exps, idxs) in sorted(form.terms):
-            c = form.terms[(exps, idxs)] * power.coefficient
-            records.append({
-                "coeff_num": c.re.numerator,
-                "coeff_den": c.re.denominator,
-                "coeff_imag_num": c.im.numerator,
-                "coeff_imag_den": c.im.denominator,
-                "two_pi_exponent": {"num": power.exponent.numerator,
-                                    "den": power.exponent.denominator},
-                "monomial": list(exps),
-                "form_indices": list(idxs),
-            })
-    return records

@@ -18,11 +18,13 @@ the signature (L_1 = p_1/3 and so on).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import terms
 
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and even zeta values
@@ -372,6 +374,13 @@ class GradedPolynomial:
         self.coeffs = clean
 
     @staticmethod
+    def _of(nvars: int, basis: str, clean: Dict[Tuple[int, ...], Fraction]) -> "GradedPolynomial":
+        """Wrap a dict the term core returned: no zeros, no weight above nvars."""
+        out = GradedPolynomial.__new__(GradedPolynomial)
+        out.nvars, out.basis, out.coeffs = nvars, basis, clean
+        return out
+
+    @staticmethod
     def weight_of(exps: Tuple[int, ...]) -> int:
         return sum((i + 1) * e for i, e in enumerate(exps))
 
@@ -399,44 +408,32 @@ class GradedPolynomial:
         if isinstance(other, (int, Fraction)):
             other = Fraction(other) * GradedPolynomial.one(self.nvars, self.basis)
         self._check(other)
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            total = out.get(exps, Fraction(0)) + c
-            if total:
-                out[exps] = total
-            else:
-                out.pop(exps, None)
-        return GradedPolynomial(self.nvars, self.basis, out)
+        return GradedPolynomial._of(self.nvars, self.basis, terms.add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPolynomial(self.nvars, self.basis,
-                                {e: -c for e, c in self.coeffs.items()})
+        return GradedPolynomial._of(self.nvars, self.basis, terms.negate(self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other) * GradedPolynomial.one(self.nvars, self.basis)
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GradedPolynomial(self.nvars, self.basis,
-                                    {e: c * other for e, c in self.coeffs.items()})
+            return GradedPolynomial._of(self.nvars, self.basis, terms.scale(self.coeffs, other))
         self._check(other)
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for ea, ca in self.coeffs.items():
-            wa = self.weight_of(ea)
-            for eb, cb in other.coeffs.items():
-                if wa + self.weight_of(eb) > self.nvars:
-                    continue
-                key = tuple(x + y for x, y in zip(ea, eb))
-                total = out.get(key, Fraction(0)) + ca * cb
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        return GradedPolynomial(self.nvars, self.basis, out)
+        nvars, weight = self.nvars, self.weight_of
+
+        # keys carry their weight, computed once per operand term
+        def combine(a, b):
+            if a[1] + b[1] > nvars:
+                return None
+            return tuple(map(operator.add, a[0], b[0])), 1
+
+        return GradedPolynomial._of(nvars, self.basis, terms.product(
+            [((e, weight(e)), c) for e, c in self.coeffs.items()],
+            [((e, weight(e)), c) for e, c in other.coeffs.items()],
+            combine))
 
     __rmul__ = __mul__
 
@@ -450,9 +447,9 @@ class GradedPolynomial:
         return not self.coeffs
 
     def weight_component(self, w: int) -> "GradedPolynomial":
-        return GradedPolynomial(self.nvars, self.basis,
-                                {e: c for e, c in self.coeffs.items()
-                                 if self.weight_of(e) == w})
+        return GradedPolynomial._of(self.nvars, self.basis,
+                                    {e: c for e, c in self.coeffs.items()
+                                     if self.weight_of(e) == w})
 
     def constant_term(self) -> Fraction:
         return self.coeffs.get(tuple([0] * self.nvars), Fraction(0))
@@ -462,32 +459,16 @@ class GradedPolynomial:
         truncation makes the series finite."""
         if self.constant_term() != 0:
             raise ValueError("exp needs zero constant term")
-        acc = GradedPolynomial.one(self.nvars, self.basis)
-        power = GradedPolynomial.one(self.nvars, self.basis)
-        fact = 1
-        for j in range(1, self.nvars + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            fact *= j
-            acc = acc + power * Fraction(1, fact)
-        return acc
+        return terms.exp_nilpotent(self, GradedPolynomial.one(self.nvars, self.basis),
+                                   self.nvars)
 
-    def substitute(self, images: Sequence["GradedPolynomial"],
-                   basis: Optional[str] = None) -> "GradedPolynomial":
-        """Replace generator g_i by images[i-1]; images share one context."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per generator")
-        target_basis = basis or images[0].basis
-        nvars = images[0].nvars
-        out = GradedPolynomial.zero(nvars, target_basis)
-        for exps, c in self.coeffs.items():
-            term = Fraction(c) * GradedPolynomial.one(nvars, target_basis)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * images[i]
-            out = out + term
-        return out
+    def substitute(self, images: Sequence["GradedPolynomial"]) -> "GradedPolynomial":
+        """Replace generator g_i by images[i-1]; images share one context,
+        which is the context of the result."""
+        result = self.evaluate(images)
+        if isinstance(result, GradedPolynomial):
+            return result
+        return result * GradedPolynomial.one(images[0].nvars, images[0].basis)
 
     def evaluate(self, values: Sequence) -> object:
         """Evaluate at given generator values (anything with ring operations,
@@ -510,6 +491,12 @@ class GradedPolynomial:
             out.append({"monomial": list(exps),
                         "num": c.numerator, "den": c.denominator})
         return out
+
+    @staticmethod
+    def from_json(nvars: int, basis: str, records: List[dict]) -> "GradedPolynomial":
+        """Inverse of to_json."""
+        return GradedPolynomial(nvars, basis, {tuple(r["monomial"]): Fraction(r["num"], r["den"])
+                                               for r in records})
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -566,12 +553,12 @@ def pontryagin_to_powersums(K: int) -> Callable[[GradedPolynomial], GradedPolyno
         e_in_s = elementary_in_power_sums(i, K)
         ph_images = [Fraction(math.factorial(2 * k)) * GradedPolynomial.generator(k, K, "ph")
                      for k in range(1, K + 1)]
-        images.append(e_in_s.substitute(ph_images, basis="ph"))
+        images.append(e_in_s.substitute(ph_images))
 
     def convert(poly: GradedPolynomial) -> GradedPolynomial:
         if poly.basis != "p":
             raise ValueError("expected a p-basis polynomial")
-        return poly.substitute(images, basis="ph")
+        return poly.substitute(images)
 
     return convert
 
@@ -585,7 +572,7 @@ def powersums_to_pontryagin(K: int) -> Callable[[GradedPolynomial], GradedPolyno
     def convert(poly: GradedPolynomial) -> GradedPolynomial:
         if poly.basis != "ph":
             raise ValueError("expected a ph-basis polynomial")
-        return poly.substitute(images, basis="p")
+        return poly.substitute(images)
 
     return convert
 

@@ -61,10 +61,6 @@ def point_r12(t, theta1, theta2) -> SuperPoint:
     return SuperPoint(G.coerce(t), (G.coerce(theta1), G.coerce(theta2)))
 
 
-def point_r11(u, nu) -> SuperPoint:
-    return SuperPoint(G.coerce(u), (G.coerce(nu),))
-
-
 def point_r01(theta) -> SuperPoint:
     return SuperPoint(None, (G.coerce(theta),))
 
@@ -169,14 +165,6 @@ def act_time_reversal_r11(g: TimeReversal, a: Tuple[G, G]) -> Tuple[G, G]:
     for _ in range(g.plus):
         u, v = -u, I * v
     return (u, v)
-
-
-def euclidean_multiply(a: Tuple[SuperPoint, TimeReversal],
-                       b: Tuple[SuperPoint, TimeReversal]) -> Tuple[SuperPoint, TimeReversal]:
-    """Semidirect-product law on R^{1|2} x| T: (p,A)*(q,B) = (p * A(q), A*B)."""
-    p, A = a
-    q, B = b
-    return (multiply_r12(p, act_time_reversal(A, q)), A * B)
 
 
 def include_r11(a: Tuple[G, G]) -> SuperPoint:

@@ -6,6 +6,7 @@ pass/fail record per named identity.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -403,7 +404,7 @@ def _check_bernoulli_zeta() -> str:
     assert cs.zeta_even(2).coefficient == Fraction(1, 6)
     assert cs.zeta_even(4).coefficient == Fraction(1, 90)
     for k in range(1, 7):
-        assert cs.zeta_over_2pii(2 * k) == -cs.bernoulli(2 * k) / (2 * _fact(2 * k))
+        assert cs.zeta_over_2pii(2 * k) == -cs.bernoulli(2 * k) / (2 * math.factorial(2 * k))
     assert cs.zeta_over_2pii(2) == Fraction(-1, 24)
     assert cs.zeta_over_2pii(4) == Fraction(1, 1440)
     assert cs.lambda_half(2).coefficient == Fraction(1, 2)
@@ -411,13 +412,6 @@ def _check_bernoulli_zeta() -> str:
     ratio = cs.lambda_half(2).coefficient / cs.zeta_even(2).coefficient
     assert ratio == 3
     return "Bernoulli recurrence, even zeta collapse, half-integer mode sums"
-
-
-def _fact(m: int) -> int:
-    out = 1
-    for j in range(2, m + 1):
-        out *= j
-    return out
 
 
 def _check_exponential_forms() -> str:
@@ -545,7 +539,7 @@ def _check_trace_values() -> str:
     assert anti.coefficient == Fraction(-1, 4)
     for k in range(1, 5):
         value = zs.trace_inv_power(zs.BoundaryCondition.PERIODIC, 2 * k)
-        assert value.coefficient == -cs.bernoulli(2 * k) / _fact(2 * k)
+        assert value.coefficient == -cs.bernoulli(2 * k) / math.factorial(2 * k)
         ratio = zs.trace_inv_power(zs.BoundaryCondition.ANTIPERIODIC, 2 * k).coefficient \
             / value.coefficient
         assert ratio == Fraction(2) ** (2 * k) - 1
@@ -660,11 +654,7 @@ def run_suite(name: str) -> List[CheckResult]:
             results.append(CheckResult(name, check_name, True, detail))
         except AssertionError as exc:
             results.append(CheckResult(name, check_name, False, str(exc)))
+        except Exception as exc:  # a crashed check is a failed check, not a usage error
+            results.append(CheckResult(name, check_name, False,
+                                       f"{type(exc).__name__}: {exc}"))
     return results
-
-
-def run_all() -> List[CheckResult]:
-    out: List[CheckResult] = []
-    for name in SUITES:
-        out.extend(run_suite(name))
-    return out

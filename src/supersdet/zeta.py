@@ -27,6 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
+from . import terms
 from .gaussian import I
 from .grassmann import GrassmannElement, even, scalar
 from .series import (
@@ -53,12 +54,6 @@ class RPower:
 
     coefficient: Fraction
     r_exponent: Fraction
-
-    def as_grassmann(self) -> GrassmannElement:
-        num = self.r_exponent.numerator
-        if self.r_exponent.denominator != 1:
-            raise ValueError("half-integer r-powers have no Grassmann image here")
-        return self.coefficient * even("r", num)
 
 
 def regularized_product_power(n: int) -> RPower:
@@ -307,23 +302,6 @@ def zeta_pf(op: KineticOperator) -> ZetaFactor:
     return ZetaFactor(r_exp, log_part)
 
 
-def _exp_nilpotent(x: GrassmannElement) -> GrassmannElement:
-    acc = scalar(1)
-    power = scalar(1)
-    fact = 1
-    j = 0
-    while True:
-        j += 1
-        power = power * x
-        if power.is_zero():
-            break
-        fact *= j
-        acc = acc + power * Fraction(1, fact)
-        if j > 64:
-            raise ValueError("exp argument does not terminate")
-    return acc
-
-
 @dataclass
 class SdetResult:
     dim: int
@@ -363,7 +341,7 @@ def sdet(ops: Tuple[KineticOperator, KineticOperator, KineticOperator]) -> SdetR
     elif isinstance(log_total, GradedPolynomial):
         value = log_total.exp()
     else:
-        value = _exp_nilpotent(log_total)
+        value = terms.exp_nilpotent(log_total, scalar(1), 64)
     return SdetResult(d_a.dim, value, r_exp)
 
 

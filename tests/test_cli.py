@@ -140,3 +140,57 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["lpoly", "--k", "2", "--frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["lpoly", "--k", "0"], "--k"),
+    (["sdet", "--n", "0"], "--n"),
+    (["sdet", "--n", "4", "--k", "-3"], "--k"),
+    (["zeta", "--what", "product", "--n", "-1"], "--n"),
+    (["zeta", "--what", "trace", "--k", "0"], "--k"),
+    (["lpoly", "--k", "two"], "--k"),
+])
+def test_non_positive_sizes_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err and "not a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("exc_type", [ZeroDivisionError, ValueError])
+def test_crashing_check_is_reported_as_failure(capsys, monkeypatch, exc_type):
+    from supersdet import verify as vf
+
+    def planted():
+        raise exc_type("planted fault")
+
+    monkeypatch.setitem(vf.SUITES, "series", vf.SUITES["series"] + [("planted", planted)])
+    code, out, err = run_cli(capsys, "verify", "--suite", "series")
+    assert code == 1 and err == ""
+    assert f"[FAIL] series: planted -- {exc_type.__name__}: planted fault" in out
+    assert "6/7 checks passed" in out
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_sdet_computes_each_side_once(capsys, monkeypatch, fmt):
+    from supersdet import series as cs
+    from supersdet import zeta as zs
+
+    calls = {"sdet_formal": 0, "l_class_in_ph": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (cs, zs):
+        monkeypatch.setattr(module, "l_class_in_ph", counted(module, "l_class_in_ph"))
+    monkeypatch.setattr(zs, "sdet_formal", counted(zs, "sdet_formal"))
+    code, out, _ = run_cli(capsys, "sdet", "--n", "4", "--k", "3", "--format", fmt)
+    assert code == 0 and out
+    assert calls == {"sdet_formal": 1, "l_class_in_ph": 1}

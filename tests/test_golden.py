@@ -1,0 +1,67 @@
+"""Byte-identical CLI output: the SHA-256 of each command's stdout must equal
+the digest recorded for it in benchmarks/digests.json."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from supersdet import cli
+
+DIGESTS = Path(__file__).resolve().parent.parent / "benchmarks" / "digests.json"
+
+# kept here rather than split from the digest keys: one --class argument has spaces
+COMMANDS = [
+    ["verify"],
+    ["verify", "--suite", "grassmann"],
+    ["verify", "--suite", "susy"],
+    ["verify", "--suite", "series"],
+    ["verify", "--suite", "zeta"],
+    ["lpoly", "--k", "6"],
+    ["lgenus", "--manifold", "cp2"],
+    ["lgenus", "--manifold", "cp4"],
+    ["lgenus", "--manifold", "hp2"],
+    ["lgenus", "--manifold", "k3"],
+    ["lgenus", "--manifold", "cp2xcp2"],
+    ["lgenus", "--manifold", "k3xcp2"],
+    ["pushforward", "--manifold", "cp2", "--class", "1"],
+    ["pushforward", "--manifold", "cp2", "--class", "2*h^2"],
+    ["pushforward", "--manifold", "cp4", "--class", "1"],
+    ["pushforward", "--manifold", "cp4", "--class", "h^2"],
+    ["pushforward", "--manifold", "hp2", "--class", "1"],
+    ["pushforward", "--manifold", "hp2", "--class", "u"],
+    ["pushforward", "--manifold", "k3", "--class", "1"],
+    ["pushforward", "--manifold", "k3", "--class", "3*v"],
+    ["pushforward", "--manifold", "cp2xcp2", "--class", "1"],
+    ["pushforward", "--manifold", "cp2xcp2", "--class", "h1^2 + h2^2"],
+    ["sdet", "--n", "1", "--k", "4"],
+    ["sdet", "--n", "1", "--k", "8"],
+    ["sdet", "--n", "4", "--k", "4"],
+    ["sdet", "--n", "4", "--k", "8"],
+    ["sdet", "--n", "4", "--mode", "concrete"],
+    ["sdet", "--n", "4", "--mode", "concrete", "--pp"],
+    ["zeta", "--what", "product", "--n", "2"],
+    ["zeta", "--what", "trace", "--k", "1", "--bc", "antiperiodic"],
+    ["zeta", "--what", "trace", "--k", "1", "--bc", "periodic"],
+]
+
+
+@pytest.fixture(scope="module")
+def digests():
+    with open(DIGESTS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_cli_output_matches_recorded_digest(argv, digests, capsys, monkeypatch):
+    monkeypatch.delenv("SUPERSDET_TRUNCATION", raising=False)
+    argv = argv + ["--format", "json"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digests["cli_batch:" + " ".join(argv)]
+
+
+def test_every_recorded_command_is_checked(digests):
+    recorded = {key for key in digests if key.startswith("cli_batch:")}
+    assert recorded == {"cli_batch:" + " ".join(argv + ["--format", "json"]) for argv in COMMANDS}

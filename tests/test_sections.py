@@ -10,7 +10,6 @@ from supersdet.sections import (
     Section,
     TwoPiPower,
     apply_Q,
-    cocycle_to_json,
     cohomologous,
     from_cocycle,
     grade,
@@ -196,21 +195,6 @@ def test_to_cocycle_faults():
         to_cocycle(Section.from_form(n, omega, Fraction(1), rho=1))
     with pytest.raises(ValueError):
         to_cocycle(Section.from_form(n, x(n, 1) * dx(n, 2), Fraction(1, 2)))
-
-
-def test_cocycle_json_schema():
-    n = 2
-    s = Section.from_form(n, 3 * dx(n, 1).wedge(dx(n, 2)), Fraction(1)) \
-        + Section.from_form(n, PolyForm.constant(n, Fraction(1, 2)))
-    records = cocycle_to_json(to_cocycle(s))
-    assert records[0] == {
-        "coeff_num": 1, "coeff_den": 2,
-        "coeff_imag_num": 0, "coeff_imag_den": 1,
-        "two_pi_exponent": {"num": 0, "den": 1},
-        "monomial": [0, 0], "form_indices": [],
-    }
-    assert records[1]["two_pi_exponent"] == {"num": -1, "den": 1}
-    assert records[1]["form_indices"] == [1, 2]
 
 
 def test_cup_product_compatibility():
