@@ -13,6 +13,8 @@ from typing import Union
 RatLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
+_FRACTION_ZERO = Fraction(0)
+
 
 class GaussianRational:
     """An element a + b*i of Q(i), with a, b exact :class:`fractions.Fraction`s.
@@ -64,6 +66,12 @@ class GaussianRational:
         if not GaussianRational._accepts(other):
             return NotImplemented
         other = GaussianRational.coerce(other)
+        if not self.im and not other.im:
+            # real times real: one rational product, no re-wrapping in __init__
+            out = GaussianRational.__new__(GaussianRational)
+            out.re = self.re * other.re
+            out.im = _FRACTION_ZERO
+            return out
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

@@ -392,7 +392,8 @@ def load_manifold(document: dict) -> ManifoldLike:
         for i, item in enumerate(raw):
             if not isinstance(item, dict) or "basis" not in item or "coeff" not in item:
                 raise ManifoldParseError(f"{path}[{i}]: expected {{basis, coeff}}")
-            out[item["basis"]] = _coerce_number(item["coeff"], f"{path}[{i}].coeff")
+            terms.accumulate(out, item["basis"],
+                             _coerce_number(item["coeff"], f"{path}[{i}].coeff"))
         return out
 
     products: Dict[Tuple[str, str], Element] = {}

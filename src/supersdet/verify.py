@@ -32,6 +32,17 @@ class CheckResult:
 Check = Tuple[str, Callable[[], Optional[str]]]
 
 
+class IdentityFailure(AssertionError):
+    """A check found its identity false."""
+
+
+def check(cond, *detail) -> None:
+    """Raise IdentityFailure(*detail) unless cond holds.  Unlike a bare
+    assert, this still runs under ``python -O``."""
+    if not cond:
+        raise IdentityFailure(*detail)
+
+
 def _generic_points(tags=("", "p", "q")):
     return [ss.point_r12(even(f"t{tag}"), odd(f"th1{tag}"), odd(f"th2{tag}"))
             for tag in tags]
@@ -44,13 +55,13 @@ def _generic_points(tags=("", "p", "q")):
 def _check_group_law() -> str:
     p, q, w = _generic_points()
     e = ss.identity_r12()
-    assert (ss.multiply_r12(e, p) - p).is_zero()
-    assert (ss.multiply_r12(p, e) - p).is_zero()
-    assert ss.multiply_r12(p, ss.inverse_r12(p)).is_zero()
-    assert ss.multiply_r12(ss.inverse_r12(p), p).is_zero()
+    check((ss.multiply_r12(e, p) - p).is_zero())
+    check((ss.multiply_r12(p, e) - p).is_zero())
+    check(ss.multiply_r12(p, ss.inverse_r12(p)).is_zero())
+    check(ss.multiply_r12(ss.inverse_r12(p), p).is_zero())
     lhs = ss.multiply_r12(ss.multiply_r12(p, q), w)
     rhs = ss.multiply_r12(p, ss.multiply_r12(q, w))
-    assert (lhs - rhs).is_zero()
+    check((lhs - rhs).is_zero())
     return "identity, two-sided inverses, associativity on generic points"
 
 
@@ -59,14 +70,14 @@ def _check_time_reversal_automorphism() -> str:
     for g in (ss.RP, ss.RM, ss.PA_HOLONOMY):
         a = ss.act_time_reversal(g, ss.multiply_r12(p, q))
         b = ss.multiply_r12(ss.act_time_reversal(g, p), ss.act_time_reversal(g, q))
-        assert (a - b).is_zero(), f"{g} is not an automorphism"
+        check((a - b).is_zero(), f"{g} is not an automorphism")
 
     # the candidate fixing t is NOT an automorphism: this pins t -> -t
     def fixed_t(pt):
         return ss.point_r12(pt.even_part, I * pt.odd_parts[0], I * pt.odd_parts[1])
 
     broken = fixed_t(ss.multiply_r12(p, q)) - ss.multiply_r12(fixed_t(p), fixed_t(q))
-    assert not broken.is_zero(), "the t-fixing candidate would also be an automorphism"
+    check(not broken.is_zero(), "the t-fixing candidate would also be an automorphism")
     return "generators act by automorphisms only with t -> -t"
 
 
@@ -75,20 +86,20 @@ def _check_time_reversal_relations() -> str:
     out = p
     for _ in range(4):
         out = ss.act_time_reversal(ss.RP, out)
-    assert (out - p).is_zero(), "rp^4 != id"
+    check((out - p).is_zero(), "rp^4 != id")
     a = ss.act_time_reversal(ss.RP, ss.act_time_reversal(ss.RP, p))
     b = ss.act_time_reversal(ss.RM, ss.act_time_reversal(ss.RM, p))
-    assert (a - b).is_zero(), "rp^2 != rm^2"
+    check((a - b).is_zero(), "rp^2 != rm^2")
     ab = ss.act_time_reversal(ss.RP, ss.act_time_reversal(ss.RM, p))
     ba = ss.act_time_reversal(ss.RM, ss.act_time_reversal(ss.RP, p))
-    assert (ab - ba).is_zero(), "generators do not commute"
+    check((ab - ba).is_zero(), "generators do not commute")
     pa = ss.act_time_reversal(ss.PA_HOLONOMY, p)
     expected = ss.point_r12(p.even_part, p.odd_parts[0], -p.odd_parts[1])
-    assert (pa - expected).is_zero(), "holonomy is not (t, o1, -o2)"
+    check((pa - expected).is_zero(), "holonomy is not (t, o1, -o2)")
     # group order: 8 distinct normal forms
     elements = {(ss.TimeReversal.word(a_, b_).plus, ss.TimeReversal.word(a_, b_).minus)
                 for a_ in range(4) for b_ in range(2)}
-    assert len(elements) == 8
+    check(len(elements) == 8)
     return "order 4, commutativity, rp^2 = rm^2, holonomy flips the second odd"
 
 
@@ -105,9 +116,9 @@ def _check_d_operators() -> str:
                 D1D1 = ss.apply_D(1, ss.apply_D(1, mono))
                 D2D2 = ss.apply_D(2, ss.apply_D(2, mono))
                 anti = ss.apply_D(1, ss.apply_D(2, mono)) + ss.apply_D(2, ss.apply_D(1, mono))
-                assert (D1D1 + I * ss.d_t(mono)).is_zero()
-                assert (D2D2 + I * ss.d_t(mono)).is_zero()
-                assert anti.is_zero()
+                check((D1D1 + I * ss.d_t(mono)).is_zero())
+                check((D2D2 + I * ss.d_t(mono)).is_zero())
+                check(anti.is_zero())
     return "D_i^2 = -i d/dt and [D_1, D_2] = 0 on monomials through t^4"
 
 
@@ -119,16 +130,16 @@ def _check_left_invariant_sign() -> str:
             if b:
                 mono = mono * th1
             LL = ss.apply_left_D(1, ss.apply_left_D(1, mono))
-            assert (LL - I * ss.d_t(mono)).is_zero()
+            check((LL - I * ss.d_t(mono)).is_zero())
     return "the left-invariant counterpart squares to +i d/dt"
 
 
 def _check_projection_invariance() -> str:
     p, _, _ = _generic_points()
     R = (even("r"), odd("rho1"))
-    assert (ss.proj_R(ss.mu_R(p, R), R) - ss.proj_R(p, R)).is_zero()
+    check((ss.proj_R(ss.mu_R(p, R), R) - ss.proj_R(p, R)).is_zero())
     flat = (even("r"), scalar(0))
-    assert (ss.proj_R(p, flat).odd_parts[0] - p.odd_parts[0]).is_zero()
+    check((ss.proj_R(p, flat).odd_parts[0] - p.odd_parts[0]).is_zero())
     return "proj o mu = proj identically; rho = 0 reduces to the plain projection"
 
 
@@ -137,14 +148,14 @@ def _check_r11_inclusion() -> str:
     up, vp = even("up"), odd("nup")
     prod = ss.multiply_r11((u, v), (up, vp))
     included = ss.multiply_r12(ss.include_r11((u, v)), ss.include_r11((up, vp)))
-    assert (ss.include_r11(prod) - included).is_zero()
+    check((ss.include_r11(prod) - included).is_zero())
     # without the i the inclusion fails to be a homomorphism
     bad = (u + up + v * vp, v + vp)
-    assert not (ss.include_r11(bad) - included).is_zero()
+    check(not (ss.include_r11(bad) - included).is_zero())
     # semidirect compatibility of the T-action through the inclusion
     for g in (ss.RP, ss.RM):
         acted = ss.act_time_reversal_r11(g, (u, v))
-        assert (ss.include_r11(acted) - ss.act_time_reversal(g, ss.include_r11((u, v)))).is_zero()
+        check((ss.include_r11(acted) - ss.act_time_reversal(g, ss.include_r11((u, v)))).is_zero())
     return "the 1|1 law carries the i; inclusion and T-action are compatible"
 
 
@@ -153,16 +164,15 @@ def _check_descent() -> str:
     u, nu1, nu2 = even("u"), odd("nu1"), odd("nu2")
     R = (r, rho1)
     res = ss.descend_check((u, nu1, scalar(0)), R)
-    assert res.descends
-    assert (res.generator[0] - (r + 2 * I * nu1 * rho1)).is_zero()
-    assert (res.generator[1] - rho1).is_zero()
+    check(res.descends)
+    check((res.generator[0] - (r + 2 * I * nu1 * rho1)).is_zero())
+    check((res.generator[1] - rho1).is_zero())
     res2 = ss.descend_check((u, nu1, nu2), R)
-    assert not res2.descends
+    check(not res2.descends)
     comps = [res2.residual.even_part] + list(res2.residual.odd_parts)
-    assert any(not c.is_zero() for c in comps)
+    check(any(not c.is_zero() for c in comps))
     for comp in comps:
-        assert comp.substitute_odd("nu2", scalar(0)).is_zero(), \
-            "residual survives nu2 = 0"
+        check(comp.substitute_odd("nu2", scalar(0)).is_zero(), "residual survives nu2 = 0")
     return "translations descend iff nu2 = 0; image radius r + 2i nu1 rho1"
 
 
@@ -171,11 +181,11 @@ def _check_descent_time_reversal() -> str:
     R = (r, rho1)
     for tw, sgn in ((ss.RP, -1), (ss.RM, 1)):
         res = ss.descend_check(tw, R)
-        assert res.descends, f"{tw} does not descend"
-        assert (res.generator[0] - r).is_zero()
-        assert (res.generator[1] - sgn * I * rho1).is_zero()
+        check(res.descends, f"{tw} does not descend")
+        check((res.generator[0] - r).is_zero())
+        check((res.generator[1] - sgn * I * rho1).is_zero())
     res = ss.descend_check(ss.PA_HOLONOMY, R)
-    assert res.descends and (res.generator[1] - rho1).is_zero()
+    check(res.descends and (res.generator[1] - rho1).is_zero())
     return "time reversals descend with image generator (r, -+ i rho1)"
 
 
@@ -184,14 +194,14 @@ def _check_induced_base_map() -> str:
     u, nu1 = even("u"), odd("nu1")
     m = ss.induced_base_map((u, nu1), (r, rho1))
     r_inv = r.invert_unit()
-    assert (m.alpha - (nu1 - rho1 * u * r_inv)).is_zero()
-    assert (m.beta - (scalar(1) - I * rho1 * nu1 * r_inv)).is_zero()
+    check((m.alpha - (nu1 - rho1 * u * r_inv)).is_zero())
+    check((m.beta - (scalar(1) - I * rho1 * nu1 * r_inv)).is_zero())
     ident = ss.induced_base_map((scalar(0), scalar(0)), (r, rho1))
-    assert ident.alpha.is_zero() and (ident.beta - scalar(1)).is_zero()
+    check(ident.alpha.is_zero() and (ident.beta - scalar(1)).is_zero())
     mp = ss.induced_base_map(((scalar(0), scalar(0)), ss.RP), (r, scalar(0)))
-    assert mp.alpha.is_zero() and (mp.beta - I * scalar(1)).is_zero()
+    check(mp.alpha.is_zero() and (mp.beta - I * scalar(1)).is_zero())
     mm = ss.induced_base_map(((scalar(0), scalar(0)), ss.RM), (r, scalar(0)))
-    assert mm.alpha.is_zero() and (mm.beta + I * scalar(1)).is_zero()
+    check(mm.alpha.is_zero() and (mm.beta + I * scalar(1)).is_zero())
     return "square closes; identity, translation and time-reversal cases agree"
 
 
@@ -202,30 +212,30 @@ def _check_field_action() -> str:
     state = (r, rho1, x, psi)
     out = ss.action_on_fields(u, nu1, state)
     r_inv = r.invert_unit()
-    assert (out[0] - (r + 2 * I * nu1 * rho1)).is_zero()
-    assert (out[1] - rho1).is_zero()
-    assert (out[2] - (x - (nu1 - rho1 * u * r_inv) * psi)).is_zero()
-    assert (out[3] - (scalar(1) + I * rho1 * nu1 * r_inv) * psi).is_zero()
+    check((out[0] - (r + 2 * I * nu1 * rho1)).is_zero())
+    check((out[1] - rho1).is_zero())
+    check((out[2] - (x - (nu1 - rho1 * u * r_inv) * psi)).is_zero())
+    check((out[3] - (scalar(1) + I * rho1 * nu1 * r_inv) * psi).is_zero())
     trivial = ss.action_on_fields(scalar(0), scalar(0), state)
-    assert (trivial[2] - x).is_zero() and (trivial[3] - psi).is_zero()
+    check((trivial[2] - x).is_zero() and (trivial[3] - psi).is_zero())
     u2, nu2 = even("u2"), odd("nu1b")
     sequential = ss.action_on_fields(u2, nu2, out)
     combined = ss.multiply_r11((u2, nu2), (u, nu1))
     direct = ss.action_on_fields(combined[0], combined[1], state)
     for a, b in zip(sequential, direct):
-        assert (a - b).is_zero(), "group law broken on field data"
+        check((a - b).is_zero(), "group law broken on field data")
     return "closed form equals the composite route; 1|1 group law compatible"
 
 
 def _check_berezin() -> str:
     th1, th2 = odd("theta1"), odd("theta2")
-    assert lin.berezin_integrate(th1 * th2) == scalar(1)
-    assert lin.berezin_integrate(scalar(5)).is_zero()
-    assert lin.berezin_integrate(scalar(2) + th1 * odd("w")).is_zero()
+    check(lin.berezin_integrate(th1 * th2) == scalar(1))
+    check(lin.berezin_integrate(scalar(5)).is_zero())
+    check(lin.berezin_integrate(scalar(2) + th1 * odd("w")).is_zero())
     a = odd("w") * th1 * th2
-    assert (lin.berezin_integrate(a) - odd("w")).is_zero()
+    check((lin.berezin_integrate(a) - odd("w")).is_zero())
     f = 3 * th1 * th2 + even("t") * th1 * th2
-    assert (lin.berezin_integrate(f) - (scalar(3) + even("t"))).is_zero()
+    check((lin.berezin_integrate(f) - (scalar(3) + even("t"))).is_zero())
     return "normalization +1 on the ordered top pair; linear; kills lower terms"
 
 
@@ -233,21 +243,21 @@ def _check_linearized_action() -> str:
     for n in (1, 2):
         flat = lin.expand_linearized_action(n, with_curvature=False)
         display = lin.normal_form_dt(lin.displayed_lagrangian(n, with_curvature=False))
-        assert (flat.lagrangian - display).is_zero()
+        check((flat.lagrangian - display).is_zero())
         curved = lin.expand_linearized_action(n, with_curvature=True)
         display_c = lin.normal_form_dt(lin.displayed_lagrangian(n, with_curvature=True))
-        assert (curved.lagrangian - display_c).is_zero()
+        check((curved.lagrangian - display_c).is_zero())
         bcs = curved.boundary_conditions
-        assert bcs["a"] == zs.BoundaryCondition.PERIODIC
-        assert bcs["eta1"] == zs.BoundaryCondition.PERIODIC
-        assert bcs["eta2"] == zs.BoundaryCondition.ANTIPERIODIC
-        assert bcs["G"] == zs.BoundaryCondition.ANTIPERIODIC
+        check(bcs["a"] == zs.BoundaryCondition.PERIODIC)
+        check(bcs["eta1"] == zs.BoundaryCondition.PERIODIC)
+        check(bcs["eta2"] == zs.BoundaryCondition.ANTIPERIODIC)
+        check(bcs["G"] == zs.BoundaryCondition.ANTIPERIODIC)
         kinds = [op.kind for op in curved.operators]
-        assert kinds == ["D_a", "D_eta1", "D_eta2"]
-        assert curved.realized_couplings["D_a"] == -I
+        check(kinds == ["D_a", "D_eta1", "D_eta2"])
+        check(curved.realized_couplings["D_a"] == -I)
         reference = zs.pa_kinetic_operators(n)
         for ours, ref in zip(curved.operators, reference):
-            assert ours.kind == ref.kind and ours.bc == ref.bc and ours.dim == ref.dim
+            check(ours.kind == ref.kind and ours.bc == ref.bc and ours.dim == ref.dim)
     return "component Lagrangian, operator blocks and boundary conditions extracted"
 
 
@@ -271,7 +281,7 @@ def _random_form(rng: random.Random, n: int, degree: int, closed: bool) -> sec.P
         const = sec.PolyForm(n, {(tuple([0] * n), tuple(sorted(rng.sample(range(1, n + 1), degree)))):
                                  GaussianRational(rng.randrange(1, 4))})
         out = acc + const
-        assert out.is_closed()
+        check(out.is_closed())
         return out
     # a monomial form with a coefficient depending on a variable outside the
     # index set is never closed; this needs 1 <= degree < n
@@ -283,7 +293,7 @@ def _random_form(rng: random.Random, n: int, degree: int, closed: bool) -> sec.P
     exps[outside - 1] = rng.randrange(1, 3)
     coeff = GaussianRational(rng.randrange(-3, 4) or 1, rng.randrange(-2, 3))
     candidate = sec.PolyForm.monomial(n, exps, idxs, coeff)
-    assert not candidate.d().is_zero()
+    check(not candidate.d().is_zero())
     return candidate
 
 
@@ -303,10 +313,9 @@ def _check_q_kernel_randomized() -> str:
         if s.is_zero():
             continue
         expected = closed and q == Fraction(degree, 2)
-        assert sec.is_supersymmetric(s) == expected, \
-            (n, degree, closed, q, str(form))
+        check(sec.is_supersymmetric(s) == expected, (n, degree, closed, q, form))
         trials += 1
-    assert trials >= 100
+    check(trials >= 100)
     return f"{trials} randomized sections: Q-closed iff closed form and r-exponent deg/2"
 
 
@@ -332,7 +341,7 @@ def _check_q_squared() -> str:
                     s = sec.Section.from_form(n, form, q, rho)
                     lhs = sec.q_squared(s)
                     rhs = -1 * I * sec.scale_r(sec.rho_d(s), Fraction(-1))
-                    assert (lhs - rhs).is_zero(), (n, q, rho, str(form))
+                    check((lhs - rhs).is_zero(), (n, q, rho, form))
                     count += 1
     return f"Q^2 = -(i/r) rho d on {count} spanning monomial sections"
 
@@ -344,22 +353,22 @@ def _check_grading() -> str:
         top = top.wedge(sec.PolyForm.d_coordinate(n, i))
     s_top = sec.Section.from_form(n, top, Fraction(5, 2))
     s_one = sec.Section.from_form(n, sec.PolyForm.d_coordinate(n, 1), Fraction(1, 2))
-    assert sec.grade(s_one) == {1}
-    assert sec.grade(s_top) == {1}
-    assert sec.grade(s_one + s_top) == {1}, "4-periodicity broken"
+    check(sec.grade(s_one) == {1})
+    check(sec.grade(s_top) == {1})
+    check(sec.grade(s_one + s_top) == {1}, "4-periodicity broken")
     four = sec.PolyForm.d_coordinate(4, 1)
     for i in range(2, 5):
         four = four.wedge(sec.PolyForm.d_coordinate(4, i))
-    assert sec.grade(sec.Section.from_form(4, four, Fraction(2))) == {0}
+    check(sec.grade(sec.Section.from_form(4, four, Fraction(2))) == {0})
     a = sec.Section.from_form(n, sec.PolyForm.d_coordinate(n, 1), Fraction(1, 2))
     b = sec.Section.from_form(n, sec.PolyForm.d_coordinate(n, 2), Fraction(1, 2))
-    assert sec.grade(a * b) == {2}
-    assert sec.is_section_of(a, 1) and sec.is_section_of(a, 5)
+    check(sec.grade(a * b) == {2})
+    check(sec.is_section_of(a, 1) and sec.is_section_of(a, 5))
     # Q sends a weight-homogeneous section to a weight-homogeneous image
     beta = sec.PolyForm.coordinate(n, 1) * sec.PolyForm.d_coordinate(n, 2)
     s = sec.Section.from_form(n, beta, Fraction(1))
     qs = sec.apply_Q(s)
-    assert len(sec.grade(qs)) == 1
+    check(len(sec.grade(qs)) == 1)
     return "weights multiply mod 4; rho counts one unit; Q image homogeneous"
 
 
@@ -368,22 +377,22 @@ def _check_cocycles() -> str:
     omega = sec.PolyForm.d_coordinate(n, 1).wedge(sec.PolyForm.d_coordinate(n, 2))
     s = sec.Section.from_form(n, omega, Fraction(1))
     coc = sec.to_cocycle(s)
-    assert len(coc) == 1
-    assert coc[0][0].exponent == Fraction(-1)
+    check(len(coc) == 1)
+    check(coc[0][0].exponent == Fraction(-1))
     back = sec.from_cocycle(n, coc)
-    assert (back - s).is_zero()
+    check((back - s).is_zero())
     unit = sec.Section.from_form(n, sec.PolyForm.constant(n))
-    assert sec.to_cocycle(unit)[0][0].exponent == 0
+    check(sec.to_cocycle(unit)[0][0].exponent == 0)
     a = sec.Section.from_form(n, sec.PolyForm.d_coordinate(n, 1), Fraction(1, 2))
     b = sec.Section.from_form(n, sec.PolyForm.d_coordinate(n, 2), Fraction(1, 2))
     ca, cb, cab = sec.to_cocycle(a), sec.to_cocycle(b), sec.to_cocycle(a * b)
     power = ca[0][0] * cb[0][0]
-    assert power.exponent == cab[0][0].exponent
+    check(power.exponent == cab[0][0].exponent)
     wedge = ca[0][1].wedge(cb[0][1]) * power.coefficient
-    assert (wedge - cab[0][1] * cab[0][0].coefficient).is_zero()
+    check((wedge - cab[0][1] * cab[0][0].coefficient).is_zero())
     mixed = s + unit
     pieces = sec.to_cocycle(mixed)
-    assert [p.exponent for p, _f in pieces] == [Fraction(0), Fraction(-1)]
+    check([p.exponent for p, _f in pieces] == [Fraction(0), Fraction(-1)])
     try:
         sec.to_cocycle(sec.Section.from_form(n, omega, Fraction(2)))
         raise RuntimeError("unreachable")
@@ -397,38 +406,38 @@ def _check_cocycles() -> str:
 # ---------------------------------------------------------------------------
 
 def _check_bernoulli_zeta() -> str:
-    assert cs.bernoulli(0) == 1
-    assert cs.bernoulli(2) == Fraction(1, 6)
-    assert cs.bernoulli(4) == Fraction(-1, 30)
-    assert cs.bernoulli(7) == 0
-    assert cs.zeta_even(2).coefficient == Fraction(1, 6)
-    assert cs.zeta_even(4).coefficient == Fraction(1, 90)
+    check(cs.bernoulli(0) == 1)
+    check(cs.bernoulli(2) == Fraction(1, 6))
+    check(cs.bernoulli(4) == Fraction(-1, 30))
+    check(cs.bernoulli(7) == 0)
+    check(cs.zeta_even(2).coefficient == Fraction(1, 6))
+    check(cs.zeta_even(4).coefficient == Fraction(1, 90))
     for k in range(1, 7):
-        assert cs.zeta_over_2pii(2 * k) == -cs.bernoulli(2 * k) / (2 * math.factorial(2 * k))
-    assert cs.zeta_over_2pii(2) == Fraction(-1, 24)
-    assert cs.zeta_over_2pii(4) == Fraction(1, 1440)
-    assert cs.lambda_half(2).coefficient == Fraction(1, 2)
-    assert cs.lambda_half(4).coefficient == Fraction(1, 6)
+        check(cs.zeta_over_2pii(2 * k) == -cs.bernoulli(2 * k) / (2 * math.factorial(2 * k)))
+    check(cs.zeta_over_2pii(2) == Fraction(-1, 24))
+    check(cs.zeta_over_2pii(4) == Fraction(1, 1440))
+    check(cs.lambda_half(2).coefficient == Fraction(1, 2))
+    check(cs.lambda_half(4).coefficient == Fraction(1, 6))
     ratio = cs.lambda_half(2).coefficient / cs.zeta_even(2).coefficient
-    assert ratio == 3
+    check(ratio == 3)
     return "Bernoulli recurrence, even zeta collapse, half-integer mode sums"
 
 
 def _check_exponential_forms() -> str:
     report = cs.verify_exponential_forms(8)
-    assert report.sinh_ok and report.cosh_half_ok
-    assert report.cosh_full_first_mismatch == 2
-    assert cs.verify_exponential_forms(0).passed
+    check(report.sinh_ok and report.cosh_half_ok)
+    check(report.cosh_full_first_mismatch == 2)
+    check(cs.verify_exponential_forms(0).passed)
     return "sinh and cosh(x/2) identities hold to x^8; the cosh(x) reading fails at x^2"
 
 
 def _check_log_l_series() -> str:
     log_l = cs.l_series(8).log()
-    assert log_l.coefficient(2) == Fraction(1, 12)
-    assert log_l.coefficient(4) == Fraction(-7, 1440)
+    check(log_l.coefficient(2) == Fraction(1, 12))
+    check(log_l.coefficient(4) == Fraction(-7, 1440))
     for k in range(1, 5):
         combo = Fraction(2, 2 * k) * (cs.zeta_over_2pii(2 * k) - cs.lambda_over_2pii(2 * k))
-        assert log_l.coefficient(2 * k) == combo, k
+        check(log_l.coefficient(2 * k) == combo, k)
     return "log of the characteristic series equals the zeta-lambda combination, k <= 4"
 
 
@@ -455,7 +464,7 @@ def _check_l_polynomials_oracle() -> str:
                         for j in range(K + 1)]
         for k in range(1, K + 1):
             value = polys[k - 1].evaluate(es[1:])
-            assert value == eps_poly[k], (trial, k)
+            check(value == eps_poly[k], (trial, k))
     return "L_1..L_4 match the brute-force product expansion at random roots"
 
 
@@ -476,14 +485,14 @@ def _check_newton_roundtrip() -> str:
         poly = cs.GradedPolynomial(K, "p", {tuple(exps): Fraction(3, 2)})
         if poly.is_zero():
             continue
-        assert to_p(to_ph(poly)) == poly
+        check(to_p(to_ph(poly)) == poly)
     ph1 = cs.GradedPolynomial.generator(1, K, "ph")
     p1 = cs.GradedPolynomial.generator(1, K, "p")
     p2 = cs.GradedPolynomial.generator(2, K, "p")
-    assert to_p(ph1) == Fraction(1, 2) * p1
+    check(to_p(ph1) == Fraction(1, 2) * p1)
     ph2 = cs.GradedPolynomial.generator(2, K, "ph")
-    assert to_p(ph2) == Fraction(1, 24) * (p1 * p1 - 2 * p2)
-    assert to_ph(to_p(ph1 * ph2)) == ph1 * ph2
+    check(to_p(ph2) == Fraction(1, 24) * (p1 * p1 - 2 * p2))
+    check(to_ph(to_p(ph1 * ph2)) == ph1 * ph2)
     return "power-sum and Pontryagin conversions are mutually inverse to weight 4"
 
 
@@ -515,7 +524,7 @@ def _check_whitney() -> str:
                 left = Fraction(1) if i == 0 else polys[i - 1].evaluate(e_left)
                 right = Fraction(1) if k - i == 0 else polys[k - i - 1].evaluate(e_right)
                 rhs += left * right
-            assert lhs == rhs, k
+            check(lhs == rhs, k)
     return "Whitney product rule for the L-sequence in 3 + 3 variables"
 
 
@@ -526,30 +535,30 @@ def _check_whitney() -> str:
 def _check_regularized_products() -> str:
     for n in range(1, 9):
         rp = zs.regularized_product_power(n)
-        assert rp.coefficient == 1 and rp.r_exponent == Fraction(n, 2)
+        check(rp.coefficient == 1 and rp.r_exponent == Fraction(n, 2))
     doubled = zs.regularized_product_power(4)
-    assert doubled.r_exponent == 2 * zs.regularized_product_power(2).r_exponent
+    check(doubled.r_exponent == 2 * zs.regularized_product_power(2).r_exponent)
     return "exp(-zeta'(0)) = r^{n/2} for n <= 8; the 2 pi term cancels; exponents add"
 
 
 def _check_trace_values() -> str:
     per = zs.trace_inv_power(zs.BoundaryCondition.PERIODIC, 2)
     anti = zs.trace_inv_power(zs.BoundaryCondition.ANTIPERIODIC, 2)
-    assert per.coefficient == Fraction(-1, 12) and per.r_exponent == 2
-    assert anti.coefficient == Fraction(-1, 4)
+    check(per.coefficient == Fraction(-1, 12) and per.r_exponent == 2)
+    check(anti.coefficient == Fraction(-1, 4))
     for k in range(1, 5):
         value = zs.trace_inv_power(zs.BoundaryCondition.PERIODIC, 2 * k)
-        assert value.coefficient == -cs.bernoulli(2 * k) / math.factorial(2 * k)
+        check(value.coefficient == -cs.bernoulli(2 * k) / math.factorial(2 * k))
         ratio = zs.trace_inv_power(zs.BoundaryCondition.ANTIPERIODIC, 2 * k).coefficient \
             / value.coefficient
-        assert ratio == Fraction(2) ** (2 * k) - 1
+        check(ratio == Fraction(2) ** (2 * k) - 1)
     return "periodic -r^2/12 at k=1, antiperiodic x(2^{2k}-1), rational for k <= 4"
 
 
 def _check_sdet_identity() -> str:
     for K in (1, 2, 3, 4):
         for n in (1, 2, 4, 8):
-            assert zs.sdet_matches_l_class(n, K), (n, K)
+            check(zs.sdet_matches_l_class(n, K), (n, K))
     return "formal superdeterminant equals the signature class, n <= 8, K <= 4"
 
 
@@ -559,16 +568,16 @@ def _check_sdet_degree_parts() -> str:
     converted = to_p(sd)
     p1 = cs.GradedPolynomial.generator(1, 2, "p")
     p2 = cs.GradedPolynomial.generator(2, 2, "p")
-    assert converted.weight_component(1) == Fraction(1, 3) * p1
-    assert converted.weight_component(2) == Fraction(1, 45) * (7 * p2 - p1 * p1)
+    check(converted.weight_component(1) == Fraction(1, 3) * p1)
+    check(converted.weight_component(2) == Fraction(1, 45) * (7 * p2 - p1 * p1))
     return "degree-4 and degree-8 parts convert to p1/3 and (7 p2 - p1^2)/45"
 
 
 def _check_pp_sector() -> str:
     for K in (1, 2, 3, 4):
-        assert zs.sdet_formal(4, K, pp=True) == cs.GradedPolynomial.one(K, "ph")
+        check(zs.sdet_formal(4, K, pp=True) == cs.GradedPolynomial.one(K, "ph"))
     matrix = zs.demo_curvature()
-    assert (zs.sdet_concrete(matrix, pp=True) - scalar(1)).is_zero()
+    check((zs.sdet_concrete(matrix, pp=True) - scalar(1)).is_zero())
     return "all-periodic sector gives exactly 1, formal and concrete"
 
 
@@ -577,23 +586,23 @@ def _check_concrete_instance() -> str:
     concrete = zs.sdet_concrete(matrix)
     phs = [zs.curvature_to_ph(matrix, k) for k in (1, 2)]
     formal = zs.substitute_ph(zs.sdet_formal(4, 2), phs)
-    assert (concrete - formal).is_zero()
-    assert not (concrete - scalar(1)).is_zero(), "instance should be nontrivial"
+    check((concrete - formal).is_zero())
+    check(not (concrete - scalar(1)).is_zero(), "instance should be nontrivial")
     return "dimension-4 Grassmann instance: concrete pipeline equals formal substitution"
 
 
 def _check_trace_termination() -> str:
     matrix = zs.demo_curvature()
     matrix.assert_odd_traces_vanish(7)
-    assert matrix.matrix_power_trace(2 * matrix.max_relevant_k() + 2).is_zero()
-    assert not matrix.matrix_power_trace(2).is_zero()
+    check(matrix.matrix_power_trace(2 * matrix.max_relevant_k() + 2).is_zero())
+    check(not matrix.matrix_power_trace(2).is_zero())
     return "odd traces vanish; powers beyond the generator count terminate"
 
 
 def _check_r_cancellation() -> str:
     for n in range(1, 9):
         result = zs.sdet(zs.pa_kinetic_operators(n, zs.FormalCurvature(2)))
-        assert result.r_exponent == 0
+        check(result.r_exponent == 0)
     return "r-powers cancel identically in the superdeterminant, n <= 8"
 
 

@@ -40,8 +40,6 @@ from .series import (
 # classical root = half the spectral root; quadratic in the trace weight
 _ROOT_SCALE_SQ = Fraction(4)
 
-_MAX_TRACE_ORDER = 16
-
 
 class BoundaryCondition(Enum):
     PERIODIC = "periodic"
@@ -112,14 +110,21 @@ class CurvatureMatrix:
                     raise ValueError(f"entry ({i},{j}) is not even")
         self.entries = tuple(rows)
         self.n = n
+        # R, R^2, ...: built on demand and shared by every trace of this matrix
+        self._powers = [self.entries]
 
     def matrix_power_trace(self, m: int) -> GrassmannElement:
-        """Tr(R^m) by iterated multiplication; terminates in the Grassmann soul."""
+        """Tr(R^m).  The powers of R are built once per matrix, one product at
+        a time, up to the first zero power; every higher power, and so its
+        trace, vanishes (the entries are nilpotent)."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        power = self.entries
-        for _ in range(m - 1):
-            power = _matmul(power, self.entries)
+        powers = self._powers
+        while len(powers) < m and not _is_zero_matrix(powers[-1]):
+            powers.append(_matmul(powers[-1], self.entries))
+        if len(powers) < m:
+            return GrassmannElement()
+        power = powers[m - 1]
         acc = GrassmannElement()
         for i in range(self.n):
             acc = acc + power[i][i]
@@ -143,6 +148,10 @@ class CurvatureMatrix:
         for m in range(1, max_m + 1, 2):
             if not self.matrix_power_trace(m).is_zero():
                 raise AssertionError(f"odd-power trace Tr(R^{m}) is nonzero")
+
+
+def _is_zero_matrix(a) -> bool:
+    return all(e.is_zero() for row in a for e in row)
 
 
 def _matmul(a, b):
@@ -250,7 +259,7 @@ def fredholm_log_det(curvature: CurvatureLike, bc: BoundaryCondition):
     """log of the Fredholm determinant det(Id - i R (d/dt)^{-1}) on the given
     mode set: -sum_{k>=1} Tr((iR)^{2k}) Tr((d/dt)^{-2k}) / (2k), the odd
     orders vanishing by antisymmetry (asserted for concrete matrices)."""
-    kmax = min(curvature.max_relevant_k(), _MAX_TRACE_ORDER)
+    kmax = curvature.max_relevant_k()
     if isinstance(curvature, CurvatureMatrix):
         curvature.assert_odd_traces_vanish(2 * kmax - 1)
     acc = _zero_log(curvature)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -102,6 +103,23 @@ def test_verify_suite_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "series")
     assert code == 0
     assert "6/6 checks passed" in out
+
+
+SIGN_FLIP_IN_SERIES = """
+import sys
+from supersdet import cli, series
+orig = series.zeta_over_2pii
+series.zeta_over_2pii = lambda k: -orig(k)
+sys.exit(cli.main(["verify", "--suite", "series"]))
+"""
+
+
+def test_verify_checks_hold_under_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", SIGN_FLIP_IN_SERIES],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    passed = re.search(r"(\d+)/6 checks passed", proc.stdout)
+    assert passed and int(passed.group(1)) < 6
 
 
 def test_json_determinism(capsys):

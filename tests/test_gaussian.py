@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersdet.gaussian import GaussianRational, I, ONE, ZERO
 
@@ -43,3 +44,27 @@ def test_repr_is_exact():
     assert repr(GaussianRational(Fraction(1, 3))) == "1/3"
     assert repr(GaussianRational(0, Fraction(-2, 7))) == "-2/7i"
     assert repr(GaussianRational(1, 1)) == "1+1i"
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+zero = st.just(Fraction(0))
+operands = st.one_of(
+    st.builds(GaussianRational, rationals, zero),      # real
+    st.builds(GaussianRational, zero, rationals),      # imaginary
+    st.builds(GaussianRational, rationals, rationals),  # mixed
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(operands, st.one_of(operands, st.integers(-3, 3), rationals))
+def test_product_matches_the_formula(a, b):
+    c = GaussianRational.coerce(b)
+    for p in (a * b, b * a):
+        assert type(p.re) is Fraction and type(p.im) is Fraction
+        assert (p.re, p.im) == (a.re * c.re - a.im * c.im, a.re * c.im + a.im * c.re)
+        if p.im == 0:
+            assert p == p.re and p.re == p
+            assert hash(p) == hash(p.re)
+            assert repr(p) == str(p.re)
+            if p.re.denominator == 1:
+                assert p == int(p.re) and hash(p) == hash(int(p.re))

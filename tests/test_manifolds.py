@@ -1,6 +1,7 @@
 import json
 import warnings
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -207,3 +208,23 @@ def test_product_with_the_point():
     assert prod.numbers == cp2.numbers
     assert prod.signature == cp2.signature
     assert mf.l_genus(prod) == 1
+
+
+def _cp2_document():
+    return json.loads(resources.files("supersdet.data").joinpath("cp2.json").read_text())
+
+
+def test_listed_zero_coefficient_is_dropped():
+    document = _cp2_document()
+    document["products"][0]["result"].append({"basis": "h", "coeff": 0})
+    model = mf.load_manifold(document)  # h*h and its transpose agree
+    assert model.multiply(model.element("h"), model.element("h")) == model.element("h2")
+
+
+def test_repeated_basis_coefficients_add():
+    document = _cp2_document()
+    document["pontryagin_classes"]["p1"] = [{"basis": "h2", "coeff": 1},
+                                            {"basis": "h2", "coeff": 2}]
+    data = mf.load_manifold(document).pontryagin_data()
+    assert data.numbers[(1,)] == 3
+    assert mf.l_genus(data) == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from supersdet import series as cs
 from supersdet import zeta as zs
@@ -103,14 +104,15 @@ def test_fredholm_zero_curvature():
 
 def test_formal_log_det_exponent():
     # -sum_k Tr((iR)^{2k}) Tr((d/dt)^{-2k}) / (2k) with the formal dictionary:
-    # coefficient of ph_k is -(2/k) 4^k (2k)! zeta_over_2pii(2k)
-    K = 3
-    log_det = zs.fredholm_log_det(zs.FormalCurvature(K), BC.PERIODIC)
-    for k in range(1, K + 1):
-        coeff = -Fraction(2, k) * Fraction(4) ** k * math.factorial(2 * k) \
-            * cs.zeta_over_2pii(2 * k)
-        expected = coeff * cs.GradedPolynomial.generator(k, K, "ph")
-        assert log_det.weight_component(k) == expected
+    # coefficient of ph_k is -(2/k) 4^k (2k)! zeta_over_2pii(2k), nonzero for
+    # every k: the sum runs to the top order K however large K is
+    for K in (3, 17):
+        log_det = zs.fredholm_log_det(zs.FormalCurvature(K), BC.PERIODIC)
+        for k in range(1, K + 1):
+            coeff = -Fraction(2, k) * Fraction(4) ** k * math.factorial(2 * k) \
+                * cs.zeta_over_2pii(2 * k)
+            expected = coeff * cs.GradedPolynomial.generator(k, K, "ph")
+            assert log_det.weight_component(k) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +231,57 @@ def test_formal_log_pf_antiperiodic_exponent():
             * cs.lambda_over_2pii(2 * k)
         expected = coeff * cs.GradedPolynomial.generator(k, K, "ph")
         assert log_pf.weight_component(k) == expected
+
+
+# ---------------------------------------------------------------------------
+# shared matrix powers, against powers built here
+# ---------------------------------------------------------------------------
+
+@st.composite
+def curvatures(draw):
+    """An antisymmetric n x n matrix (n <= 5) over g <= 8 odd generators whose
+    entries are sums of c psi_a psi_b, and a shuffled list of the orders
+    1..g+2."""
+    n = draw(st.integers(1, 5))
+    g = draw(st.integers(2, 8))
+    psi = [odd(f"psi{a}") for a in range(g)]
+    # entries over one fixed pairing of the generators commute, so that high
+    # powers survive; entries over arbitrary pairs do not
+    pairing = [(a, a + 1) for a in range(0, g - 1, 2)]
+    pairs = st.sampled_from(pairing) if draw(st.booleans()) else \
+        st.tuples(st.integers(0, g - 1), st.integers(0, g - 1)).filter(lambda p: p[0] != p[1])
+    rows = [[scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            entry = scalar(0)
+            terms = st.tuples(pairs, st.integers(-3, 3).filter(bool))
+            for (a, b), c in draw(st.lists(terms, min_size=1, max_size=4)):
+                entry = entry + c * psi[a] * psi[b]
+            rows[i][j], rows[j][i] = entry, -entry
+    orders = draw(st.permutations(range(1, g + 3)))
+    return rows, g, orders
+
+
+def _four_pair_block():
+    # w = psi0 psi1 + ... + psi6 psi7 has w^4 = 24 psi0...psi7: Tr(R^4) = 2 w^4
+    w = sum((odd(f"psi{a}") * odd(f"psi{a + 1}") for a in range(0, 8, 2)), scalar(0))
+    return [[scalar(0), w], [-w, scalar(0)]], 8, list(range(10, 0, -1))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(curvatures())
+@example(_four_pair_block())
+def test_matrix_power_trace_matches_repeated_products(case):
+    rows, g, orders = case
+    n = len(rows)
+    traces, power = [], rows
+    for _ in range(g + 2):
+        traces.append(sum((power[i][i] for i in range(n)), GrassmannElement()))
+        power = [[sum((power[i][k] * rows[k][j] for k in range(n)), GrassmannElement())
+                  for j in range(n)] for i in range(n)]
+    matrix = zs.CurvatureMatrix(rows)
+    for m in orders:
+        trace = matrix.matrix_power_trace(m)
+        assert trace == traces[m - 1]
+        if 2 * m > g:
+            assert trace.is_zero()
