@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -19,8 +18,6 @@ from . import manifolds as mf
 from . import series as cs
 from . import verify as vf
 from . import zeta as zs
-
-DEFAULT_TRUNCATION = 4
 
 
 def _positive_int(raw: str) -> int:
@@ -31,16 +28,6 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{raw!r} is not a positive integer")
     return value
-
-
-def _truncation_default() -> int:
-    raw = os.environ.get("SUPERSDET_TRUNCATION")
-    if raw is None:
-        return DEFAULT_TRUNCATION
-    try:
-        return _positive_int(raw)
-    except argparse.ArgumentTypeError:
-        raise SystemExit(f"supersdet: SUPERSDET_TRUNCATION={raw!r} is not a positive integer")
 
 
 def _fraction_json(x: Fraction) -> dict:
@@ -134,7 +121,11 @@ def _cmd_lgenus(args) -> int:
 
 
 def _cmd_sdet(args) -> int:
-    K = args.k if args.k is not None else _truncation_default()
+    K = args.k
+    if args.mode == "concrete":
+        dim = zs.demo_curvature().n
+        if args.n != dim:
+            raise SystemExit(f"supersdet: concrete mode ships a dimension-{dim} instance")
     report = zs.sdet_report(args.n, K, mode=args.mode, pp=args.pp)
     # the pretty lines render the report's polynomials rather than compute them again
     if args.mode == "formal":
@@ -233,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sdet = sub.add_parser("sdet", help="superdeterminant report")
     p_sdet.add_argument("--n", type=_positive_int, required=True, help="fiber dimension")
-    p_sdet.add_argument("--k", type=_positive_int, default=None,
-                        help="grading truncation (default: SUPERSDET_TRUNCATION or 4)")
+    p_sdet.add_argument("--k", type=_positive_int, default=4,
+                        help="grading truncation (default 4)")
     p_sdet.add_argument("--mode", choices=("formal", "concrete"), default="formal")
     p_sdet.add_argument("--pp", action="store_true",
                         help="use the all-periodic sector")
@@ -273,10 +264,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (mf.ManifoldParseError, mf.ManifoldValidationError) as exc:
         sys.stderr.write(f"supersdet: {exc}\n")
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"supersdet: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"supersdet: {exc}\n")
         return 2
 

@@ -1,8 +1,7 @@
 """Exact scalars in Q(i): complex numbers with rational real and imaginary parts.
 
 Every coefficient in the symbolic layers of this package lives here.  No
-floating point is ever produced by arithmetic on these values; numeric
-cross-checks in the test suite convert explicitly via :meth:`GaussianRational.to_complex`.
+floating point is ever produced by arithmetic on these values.
 """
 
 from __future__ import annotations
@@ -125,10 +124,6 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return self.re != 0 or self.im != 0
-
-    def to_complex(self) -> complex:
-        """Float approximation, for numeric cross-checks only."""
-        return float(self.re) + 1j * float(self.im)
 
     def __repr__(self) -> str:
         if self.im == 0:

@@ -14,7 +14,7 @@ radius symbol ``r``).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from . import terms
 from .gaussian import GaussianRational, ScalarLike
@@ -153,10 +153,6 @@ class GrassmannElement:
             {k: c for k, c in self.terms.items() if not k[0]}
         )
 
-    def soul(self) -> "GrassmannElement":
-        """The part carrying at least one odd generator (nilpotent)."""
-        return GrassmannElement({k: c for k, c in self.terms.items() if k[0]})
-
     def odd_generators(self) -> set:
         names = set()
         for odd, _even in self.terms:
@@ -285,10 +281,3 @@ def odd(name: str) -> GrassmannElement:
 
 def even(name: str, exponent: int = 1) -> GrassmannElement:
     return GrassmannElement.even(name, exponent)
-
-
-def odd_product(names: Iterable[str]) -> GrassmannElement:
-    out = GrassmannElement.scalar(1)
-    for n in names:
-        out = out * GrassmannElement.odd(n)
-    return out

@@ -17,7 +17,7 @@ modulo total time derivatives yields the component Lagrangian, from which the
 three kinetic blocks and their boundary conditions are read off and verified
 against the quadratic form they generate.
 
-Three conventions are pinned here and guarded by the internal matching:
+Three conventions are pinned here and guarded by the verify suite:
 the i on the top component, the sign of the connection term (equivalently,
 the sign convention of the curvature contraction R), and the overall fiber
 orientation of the odd integral.  All three are fixed by requiring the
@@ -288,7 +288,9 @@ def expand_linearized_action(n: int, with_curvature: bool = True) -> LinearizedA
     quadratic form of the blocks D_a = d^2/dt^2 - i R d/dt (periodic),
     D_eta1 = d/dt (periodic) and D_eta2 = d/dt + i R (antiperiodic).  A
     mismatch with every convention raises, as it signals a broken convention
-    upstream.
+    upstream.  That the result has the displayed component shape, with the
+    bosonic coupling -i, is the verify suite's "linearized action expansion"
+    check.
     """
     if n < 1:
         raise ValueError("fiber dimension must be positive")
@@ -297,10 +299,6 @@ def expand_linearized_action(n: int, with_curvature: bool = True) -> LinearizedA
     # fiber orientation of the odd integral: the sign making the bosonic
     # kinetic term positive (the theta-measure is ordered accordingly)
     lagrangian = normal_form_dt(-berezin_integrate(integrand))
-
-    display = normal_form_dt(displayed_lagrangian(n, with_curvature))
-    if not (lagrangian - display).is_zero():
-        raise AssertionError("Berezin expansion left the displayed component shape")
 
     matched: Optional[Tuple[GaussianRational, GaussianRational]] = None
     for c_a in (-I, I):
@@ -314,14 +312,12 @@ def expand_linearized_action(n: int, with_curvature: bool = True) -> LinearizedA
     if matched is None:
         raise AssertionError("component expansion does not match any quadratic form")
     c_a, c_2 = matched
-    if with_curvature and c_a != -I:
-        raise AssertionError(f"bosonic curvature coupling came out as {c_a}; expected -i")
 
     bcs = derive_boundary_conditions()
     ops = (
-        KineticOperator("D_a", n, bcs["a"], -1 if with_curvature else 0, None),
-        KineticOperator("D_eta1", n, bcs["eta1"], 0, None),
-        KineticOperator("D_eta2", n, bcs["eta2"], +1 if with_curvature else 0, None),
+        KineticOperator("D_a", n, bcs["a"]),
+        KineticOperator("D_eta1", n, bcs["eta1"]),
+        KineticOperator("D_eta2", n, bcs["eta2"]),
     )
     return LinearizedAction(n, lagrangian, ops, bcs,
                             {"D_a": c_a, "D_eta2": c_2})

@@ -60,13 +60,18 @@ def partition_key(partition: Partition) -> str:
     return "*".join(bits)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coerce_number(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ManifoldParseError(f"{path}: expected a number")
-    if isinstance(value, int):
+    if _is_integer(value):
         return Fraction(value)
     if isinstance(value, dict) and set(value) == {"num", "den"}:
-        return Fraction(value["num"], value["den"])
+        num, den = value["num"], value["den"]
+        if not (_is_integer(num) and _is_integer(den)) or den == 0:
+            raise ManifoldParseError(f"{path}: num and den must be integers, den nonzero")
+        return Fraction(num, den)
     raise ManifoldParseError(f"{path}: expected an integer or {{num, den}}")
 
 
@@ -381,6 +386,8 @@ def load_manifold(document: dict) -> ManifoldLike:
     for i, entry in enumerate(raw_basis):
         if not isinstance(entry, dict) or "name" not in entry or "degree" not in entry:
             raise ManifoldParseError(f"document.basis[{i}]: expected {{name, degree}}")
+        if not isinstance(entry["name"], str):
+            raise ManifoldParseError(f"document.basis[{i}].name: expected a string")
         if not isinstance(entry["degree"], int):
             raise ManifoldParseError(f"document.basis[{i}].degree: expected an integer")
         basis.append((entry["name"], entry["degree"]))
@@ -392,14 +399,21 @@ def load_manifold(document: dict) -> ManifoldLike:
         for i, item in enumerate(raw):
             if not isinstance(item, dict) or "basis" not in item or "coeff" not in item:
                 raise ManifoldParseError(f"{path}[{i}]: expected {{basis, coeff}}")
+            if not isinstance(item["basis"], str):
+                raise ManifoldParseError(f"{path}[{i}].basis: expected a string")
             terms.accumulate(out, item["basis"],
                              _coerce_number(item["coeff"], f"{path}[{i}].coeff"))
         return out
 
+    raw_products = document.get("products", [])
+    if not isinstance(raw_products, list):
+        raise ManifoldParseError("document.products: expected a list")
     products: Dict[Tuple[str, str], Element] = {}
-    for i, entry in enumerate(document.get("products", [])):
+    for i, entry in enumerate(raw_products):
         if not isinstance(entry, dict) or not {"left", "right", "result"} <= set(entry):
             raise ManifoldParseError(f"document.products[{i}]: expected {{left, right, result}}")
+        if not (isinstance(entry["left"], str) and isinstance(entry["right"], str)):
+            raise ManifoldParseError(f"document.products[{i}]: left and right must be strings")
         products[(entry["left"], entry["right"])] = parse_element(
             entry["result"], f"document.products[{i}].result")
 
@@ -407,8 +421,11 @@ def load_manifold(document: dict) -> ManifoldLike:
     if not isinstance(fundamental, str):
         raise ManifoldParseError("document.fundamental: missing or not a string")
 
+    raw_classes = document.get("pontryagin_classes", {})
+    if not isinstance(raw_classes, dict):
+        raise ManifoldParseError("document.pontryagin_classes: expected an object")
     pclasses: Dict[int, Element] = {}
-    for key, raw in document.get("pontryagin_classes", {}).items():
+    for key, raw in raw_classes.items():
         m = _PART_KEY.match(key)
         if not m or m.group(2):
             raise ManifoldParseError(f"document.pontryagin_classes: bad key {key!r}")
@@ -467,5 +484,7 @@ def parse_class(expr: str, M: CohomologyModel) -> Element:
             except ValueError:
                 raise ManifoldParseError(
                     f"class expression: {factor!r} is neither a rational nor a basis name")
+            except ZeroDivisionError:
+                raise ManifoldParseError(f"class expression: {factor!r} has a zero denominator")
         out = M.add(out, M.scale(element, coeff))
     return out

@@ -155,38 +155,6 @@ class PolyForm:
     def is_closed(self) -> bool:
         return self.d().is_zero()
 
-    def evaluate_at_zero(self) -> GaussianRational:
-        return self.terms.get((tuple([0] * self.n), ()), GaussianRational(0))
-
-    def poincare_homotopy(self) -> "PolyForm":
-        """The radial homotopy operator: on a monomial x^A dx_{i_1..i_k},
-
-            K = sum_j (-1)^{j-1} x_{i_j} x^A / (|A| + k) dx_{..no i_j..}
-
-        satisfying d K + K d = id on positive-degree forms and
-        (K d)(f) = f - f(0) on functions."""
-        out: Dict[PolyKey, GaussianRational] = {}
-        for (exps, idxs), c in self.terms.items():
-            k = len(idxs)
-            if k == 0:
-                continue
-            weight = sum(exps) + k
-            for j, i in enumerate(idxs):
-                raised = exps[:i - 1] + (exps[i - 1] + 1,) + exps[i:]
-                rest = idxs[:j] + idxs[j + 1:]
-                terms.accumulate(out, (raised, rest), c * Fraction((-1) ** j, weight))
-        return PolyForm(self.n, out)
-
-    def is_exact(self) -> bool:
-        """Closed positive-degree polynomial forms on R^n are exact; verified
-        constructively through the homotopy operator."""
-        if not self.is_zero() and 0 in self.degrees():
-            return False
-        if not self.is_closed():
-            return False
-        witness = self.poincare_homotopy()
-        return (witness.d() - self).is_zero()
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -216,25 +184,6 @@ def _permutation_sign(idxs: Tuple[int, ...]) -> int:
             if lst[i] > lst[j]:
                 sign = -sign
     return sign
-
-
-def cohomologous(a: PolyForm, b: PolyForm) -> bool:
-    """Equality modulo exact forms.  In positive degrees the difference of
-    closed polynomial forms on R^n is exact iff closed (homotopy witness);
-    in degree zero classes are the constant terms."""
-    diff = a - b
-    if diff.is_zero():
-        return True
-    if not diff.is_closed():
-        return False
-    zero_part = diff.degree_component(0)
-    if not zero_part.is_zero():
-        # degree-zero classes on R^n are constants
-        if zero_part.evaluate_at_zero() != GaussianRational(0) or \
-                not (zero_part - PolyForm.constant(a.n, zero_part.evaluate_at_zero())).is_zero():
-            return False
-    positive = diff - zero_part
-    return positive.is_zero() or positive.is_exact()
 
 
 # ---------------------------------------------------------------------------

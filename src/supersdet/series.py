@@ -67,9 +67,6 @@ class PiValue:
         return PiValue(self.coefficient / other.coefficient,
                        self.pi_power - other.pi_power)
 
-    def to_float(self) -> float:
-        return float(self.coefficient) * math.pi ** self.pi_power
-
     def __str__(self) -> str:
         if self.pi_power == 0:
             return str(self.coefficient)
@@ -217,20 +214,6 @@ class TruncatedSeries:
                     acc += deriv[i] * out[k - 1 - i]
             out[k] = acc / k
         return TruncatedSeries(out)
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(x)) for inner with zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition needs zero inner constant term")
-        n = min(self.order, inner.order)
-        acc = TruncatedSeries([Fraction(0)] * (n + 1))
-        power = TruncatedSeries([Fraction(1)] + [Fraction(0)] * n)
-        for k in range(n + 1):
-            if self.coeffs[k]:
-                acc = acc + self.coeffs[k] * power
-            if k < n:
-                power = power * inner
-        return acc
 
     def rescale_root(self, c: Fraction) -> "TruncatedSeries":
         """Substitute x -> c x."""

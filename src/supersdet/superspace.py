@@ -117,10 +117,6 @@ class TimeReversal:
     def is_identity(self) -> bool:
         return self.plus == 0 and self.minus == 0
 
-    def reverses_time(self) -> bool:
-        """True when the induced map on the underlying line is t -> -t."""
-        return (self.plus + self.minus) % 2 == 1
-
     def __str__(self) -> str:
         if self.is_identity():
             return "e"
@@ -395,9 +391,7 @@ def induced_base_map(iso: Union[Tuple[G, G], Tuple[Tuple[G, G], TimeReversal]],
     the_map = OddAffineMap(alpha, beta)
 
     # commutation of the square, verified on the generic point
-    lhs_check = the_map(proj_R(p, R).odd_parts[0])
-    rhs_check = proj_R(moved, descent.generator).odd_parts[0]
-    if not (lhs_check - rhs_check).is_zero():
+    if not (the_map(proj_R(p, R).odd_parts[0]) - rhs).is_zero():
         raise AssertionError("induced base map failed to close the square")
     return the_map
 
@@ -408,29 +402,19 @@ FieldState = Tuple[G, G, G, G]  # (r, rho1, x, psi)
 def action_on_fields(u, nu1, state: FieldState) -> FieldState:
     """Action of a 1|1 super translation (u, nu1) on a linearized field datum
     (r, rho1, x, psi), computed by composing the Taylor expansion x + theta psi
-    with the inverse induced base map over the image circle.
+    with the inverse induced base map over the image circle.  The new radius
+    is the descent generator of the image lattice.
 
-    The closed form is (r + 2i nu1 rho1, rho1, x - (nu1 - rho1 u / r) psi,
-    (1 + i rho1 nu1 / r) psi); the composite route is recomputed on every call
-    and a mismatch raises, guarding the sign conventions.
+    The result equals the closed form (r + 2i nu1 rho1, rho1,
+    x - (nu1 - rho1 u / r) psi, (1 + i rho1 nu1 / r) psi); the verify suite's
+    "action on field data" check compares the two.
     """
     u, nu1 = G.coerce(u), G.coerce(nu1)
     r, rho1, x, psi = (G.coerce(c) for c in state)
 
-    descent = descend_check((u, nu1, scalar(0)), (r, rho1))
-    base_map = induced_base_map((u, nu1), (r, rho1))
-    inv = base_map.inverse()
+    inv = induced_base_map((u, nu1), (r, rho1)).inverse()
+    new_r, new_rho1 = descend_check((u, nu1, scalar(0)), (r, rho1)).generator
     # phi0 = x + theta psi composed with theta -> inv.alpha + inv.beta theta
     x_new = x + inv.alpha * psi
     psi_new = inv.beta * psi
-
-    r_inv = r.invert_unit()
-    r_closed = r + 2 * I * nu1 * rho1
-    x_closed = x - (nu1 - rho1 * u * r_inv) * psi
-    psi_closed = (scalar(1) + I * rho1 * nu1 * r_inv) * psi
-    if not (descent.generator[0] - r_closed).is_zero() \
-            or not (descent.generator[1] - rho1).is_zero() \
-            or not (x_new - x_closed).is_zero() \
-            or not (psi_new - psi_closed).is_zero():
-        raise AssertionError("field action disagrees with the composite route")
-    return (r_closed, rho1, x_new, psi_new)
+    return (new_r, new_rho1, x_new, psi_new)

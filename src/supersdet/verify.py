@@ -441,6 +441,17 @@ def _check_log_l_series() -> str:
     return "log of the characteristic series equals the zeta-lambda combination, k <= 4"
 
 
+def _elementary(values: List[Fraction], K: int) -> List[Fraction]:
+    """e_0..e_K of the given values."""
+    es = [Fraction(1)] + [Fraction(0)] * K
+    for y in values:
+        new = list(es)
+        for i in range(K, 0, -1):
+            new[i] = es[i] + y * es[i - 1]
+        es = new
+    return es
+
+
 def _check_l_polynomials_oracle() -> str:
     rng = random.Random(11)
     K = 4
@@ -450,12 +461,7 @@ def _check_l_polynomials_oracle() -> str:
         m = 2 * K
         ys = [Fraction(rng.randrange(1, 7), rng.randrange(1, 5)) for _ in range(m)]
         # elementary symmetric values of the squared roots
-        es = [Fraction(1)] + [Fraction(0)] * K
-        for y in ys:
-            new = list(es)
-            for i in range(K, 0, -1):
-                new[i] = es[i] + y * es[i - 1]
-            es = new
+        es = _elementary(ys, K)
         # epsilon-graded product of the series at each root
         eps_poly = [Fraction(1)] + [Fraction(0)] * K
         for y in ys:
@@ -500,23 +506,12 @@ def _check_whitney() -> str:
     rng = random.Random(7)
     K = 3
     polys = cs.l_polynomials(K)
-    series = cs.l_series_doubled_root(2 * K)
-
-    def elementary(values: List[Fraction]) -> List[Fraction]:
-        es = [Fraction(1)] + [Fraction(0)] * K
-        for y in values:
-            new = list(es)
-            for i in range(K, 0, -1):
-                new[i] = es[i] + y * es[i - 1]
-            es = new
-        return es
-
     for _ in range(4):
         ys = [Fraction(rng.randrange(1, 5), rng.randrange(1, 4)) for _ in range(3)]
         zs_ = [Fraction(rng.randrange(1, 5), rng.randrange(1, 4)) for _ in range(3)]
-        e_total = elementary(ys + zs_)[1:]
-        e_left = elementary(ys)[1:]
-        e_right = elementary(zs_)[1:]
+        e_total = _elementary(ys + zs_, K)[1:]
+        e_left = _elementary(ys, K)[1:]
+        e_right = _elementary(zs_, K)[1:]
         for k in range(1, K + 1):
             lhs = polys[k - 1].evaluate(e_total)
             rhs = Fraction(0)
@@ -601,8 +596,10 @@ def _check_trace_termination() -> str:
 
 def _check_r_cancellation() -> str:
     for n in range(1, 9):
-        result = zs.sdet(zs.pa_kinetic_operators(n, zs.FormalCurvature(2)))
-        check(result.r_exponent == 0)
+        d_a, d_eta1, d_eta2 = zs.pa_kinetic_operators(n, zs.FormalCurvature(2))
+        total = zs.zeta_pf(d_eta1).r_exponent + zs.zeta_pf(d_eta2).r_exponent \
+            - zs.zeta_det(d_a).r_exponent / 2
+        check(total == 0, n)
     return "r-powers cancel identically in the superdeterminant, n <= 8"
 
 

@@ -212,18 +212,14 @@ class KineticOperator:
     """Symbolic description of one block of the linearized kinetic operator.
 
     kind: "D_a" (second order, bosonic), "D_eta1" or "D_eta2" (first order,
-    fermionic).  coupling records the sign of the i*R term (0 for none); it
-    does not influence regularized values, which only see even trace powers.
+    fermionic).  The sign of the i*R term is not recorded: regularized values
+    only see even trace powers.
     """
 
     kind: str
     dim: int
     bc: BoundaryCondition
-    coupling: int
     curvature: Optional[CurvatureLike] = None
-
-    def with_curvature(self, curvature: Optional[CurvatureLike]) -> "KineticOperator":
-        return KineticOperator(self.kind, self.dim, self.bc, self.coupling, curvature)
 
 
 def pa_kinetic_operators(n: int, curvature: Optional[CurvatureLike] = None,
@@ -232,9 +228,9 @@ def pa_kinetic_operators(n: int, curvature: Optional[CurvatureLike] = None,
     variant when pp=True)."""
     eta2_bc = BoundaryCondition.PERIODIC if pp else BoundaryCondition.ANTIPERIODIC
     return (
-        KineticOperator("D_a", n, BoundaryCondition.PERIODIC, -1, curvature),
-        KineticOperator("D_eta1", n, BoundaryCondition.PERIODIC, 0, None),
-        KineticOperator("D_eta2", n, eta2_bc, +1, curvature),
+        KineticOperator("D_a", n, BoundaryCondition.PERIODIC, curvature),
+        KineticOperator("D_eta1", n, BoundaryCondition.PERIODIC, None),
+        KineticOperator("D_eta2", n, eta2_bc, curvature),
     )
 
 
@@ -247,9 +243,7 @@ class ZetaFactor:
     log_part: Union[GradedPolynomial, GrassmannElement, None]
 
 
-def _zero_log(curvature: Optional[CurvatureLike]):
-    if curvature is None:
-        return None
+def _zero_log(curvature: CurvatureLike):
     if isinstance(curvature, FormalCurvature):
         return GradedPolynomial.zero(curvature.K, "ph")
     return GrassmannElement()
@@ -257,15 +251,13 @@ def _zero_log(curvature: Optional[CurvatureLike]):
 
 def fredholm_log_det(curvature: CurvatureLike, bc: BoundaryCondition):
     """log of the Fredholm determinant det(Id - i R (d/dt)^{-1}) on the given
-    mode set: -sum_{k>=1} Tr((iR)^{2k}) Tr((d/dt)^{-2k}) / (2k), the odd
-    orders vanishing by antisymmetry (asserted for concrete matrices)."""
-    kmax = curvature.max_relevant_k()
-    if isinstance(curvature, CurvatureMatrix):
-        curvature.assert_odd_traces_vanish(2 * kmax - 1)
+    mode set: -sum_{k>=1} Tr((iR)^{2k}) Tr((d/dt)^{-2k}) / (2k).  The odd
+    orders vanish: the entries are even, so they commute, and antisymmetry
+    gives Tr(R^m) = Tr((R^m)^T) = (-1)^m Tr(R^m)."""
     acc = _zero_log(curvature)
-    for k in range(1, kmax + 1):
+    for k in range(1, curvature.max_relevant_k() + 1):
         scaled = curvature.scaled_trace(k)
-        if isinstance(scaled, GrassmannElement) and scaled.is_zero():
+        if scaled.is_zero():
             break
         tau = trace_inv_power(bc, 2 * k)
         # (i r)^{2k} Tr(R^{2k}) carries r^{+2k}; tau's rational part carries the
@@ -287,13 +279,10 @@ def zeta_det(op: KineticOperator) -> ZetaFactor:
     if op.kind != "D_a":
         raise ValueError("zeta_det applies to the second-order block D_a")
     free = regularized_product_power(4)  # per fiber dimension: paired modes, squared
-    r_exp = Fraction(2) * op.dim  # = dim * free.r_exponent
-    if free.r_exponent * op.dim != r_exp:
-        raise AssertionError("free-part bookkeeping broke")
-    log_part = _zero_log(op.curvature)
+    log_part = None
     if op.curvature is not None:
         log_part = fredholm_log_det(op.curvature, op.bc)
-    return ZetaFactor(r_exp, log_part)
+    return ZetaFactor(op.dim * free.r_exponent, log_part)
 
 
 def zeta_pf(op: KineticOperator) -> ZetaFactor:
@@ -302,28 +291,20 @@ def zeta_pf(op: KineticOperator) -> ZetaFactor:
     if op.kind not in ("D_eta1", "D_eta2"):
         raise ValueError("zeta_pf applies to the first-order blocks")
     free = regularized_product_power(2)  # paired first-order modes per dimension
-    r_exp = Fraction(op.dim) * free.r_exponent / 2  # Pfaffian is det^{1/2}
-    if r_exp != Fraction(op.dim, 2):
-        raise AssertionError("free-part bookkeeping broke")
-    log_part = _zero_log(op.curvature)
+    log_part = None
     if op.curvature is not None:
         log_part = fredholm_log_pf(op.curvature, op.bc)
-    return ZetaFactor(r_exp, log_part)
+    return ZetaFactor(op.dim * free.r_exponent / 2, log_part)  # Pfaffian is det^{1/2}
 
 
-@dataclass
-class SdetResult:
-    dim: int
-    value: Union[GradedPolynomial, GrassmannElement]
-    r_exponent: Fraction  # always 0; kept as the recorded cancellation witness
-
-
-def sdet(ops: Tuple[KineticOperator, KineticOperator, KineticOperator]) -> SdetResult:
+def sdet(ops: Tuple[KineticOperator, KineticOperator, KineticOperator]
+         ) -> Union[GradedPolynomial, GrassmannElement]:
     """The zeta-superdeterminant pf(D_eta1) pf(D_eta2) / det(D_a)^{1/2}.
 
     The square root is exponent-halving on the exact exponential form (the
-    determinant's positive root).  The radius powers must cancel identically:
-    n/2 + n/2 - (1/2)(2n) = 0, asserted on every call.
+    determinant's positive root).  The radius powers cancel identically,
+    n/2 + n/2 - (1/2)(2n) = 0, so the value is the exponential of the log
+    parts alone; the verify suite's radius cancellation check witnesses it.
     """
     d_a, d_eta1, d_eta2 = ops
     if not (d_a.kind == "D_a" and d_eta1.kind == "D_eta1" and d_eta2.kind == "D_eta2"):
@@ -333,9 +314,6 @@ def sdet(ops: Tuple[KineticOperator, KineticOperator, KineticOperator]) -> SdetR
     det_a = zeta_det(d_a)
     pf_1 = zeta_pf(d_eta1)
     pf_2 = zeta_pf(d_eta2)
-    r_exp = pf_1.r_exponent + pf_2.r_exponent - det_a.r_exponent / 2
-    if r_exp != 0:
-        raise AssertionError("radius powers failed to cancel in sdet")
 
     log_total = None
     for factor, weight in ((pf_1, Fraction(1)), (pf_2, Fraction(1)),
@@ -346,24 +324,22 @@ def sdet(ops: Tuple[KineticOperator, KineticOperator, KineticOperator]) -> SdetR
         log_total = part if log_total is None else log_total + part
 
     if log_total is None:
-        value: Union[GradedPolynomial, GrassmannElement] = scalar(1)
-    elif isinstance(log_total, GradedPolynomial):
-        value = log_total.exp()
-    else:
-        value = terms.exp_nilpotent(log_total, scalar(1), 64)
-    return SdetResult(d_a.dim, value, r_exp)
+        return scalar(1)
+    if isinstance(log_total, GradedPolynomial):
+        return log_total.exp()
+    return terms.exp_nilpotent(log_total, scalar(1), 64)
 
 
 def sdet_formal(n: int, K: int, pp: bool = False) -> GradedPolynomial:
     """Formal-mode superdeterminant as a graded polynomial in ph_1..ph_K."""
     ops = pa_kinetic_operators(n, FormalCurvature(K), pp=pp)
-    return sdet(ops).value  # type: ignore[return-value]
+    return sdet(ops)  # type: ignore[return-value]
 
 
 def sdet_concrete(matrix: CurvatureMatrix, pp: bool = False) -> GrassmannElement:
     """Concrete-mode superdeterminant for a Grassmann curvature matrix."""
     ops = pa_kinetic_operators(matrix.n, matrix, pp=pp)
-    return sdet(ops).value  # type: ignore[return-value]
+    return sdet(ops)  # type: ignore[return-value]
 
 
 def sdet_matches_l_class(n: int, K: int) -> bool:
@@ -421,7 +397,9 @@ def sdet_report(n: int, K: int, mode: str = "formal", pp: bool = False) -> dict:
         else:
             phs = [curvature_to_ph(matrix, k) for k in range(1, K + 1)]
             formal = substitute_ph(sdet_formal(n, K), phs)
-            equal = (value - formal).is_zero()
+            # the paper's statement: sdet equals the signature class at these values
+            equal = (value - formal).is_zero() \
+                and (value - substitute_ph(l_cls, phs)).is_zero()
         value_json = str(value)
     else:
         raise ValueError("mode must be formal or concrete")

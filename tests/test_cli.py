@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -47,6 +48,11 @@ def test_lgenus_file_and_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "lgenus", "--manifold", str(bad))
     assert code == 2
 
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "\xe9"}')
+    code, _, err = run_cli(capsys, "lgenus", "--manifold", str(latin1))
+    assert code == 2
+
 
 def test_lgenus_mismatch_exits_one(capsys, tmp_path):
     doc = {"name": "liar", "dimension": 4, "kind": "pontryagin_numbers",
@@ -75,6 +81,45 @@ def test_sdet_concrete_and_pp(capsys):
     assert code == 0 and "equal = True" in out
     code, _, err = run_cli(capsys, "sdet", "--n", "5", "--k", "2", "--mode", "concrete")
     assert code == 2
+
+
+def _cp2_with(change):
+    document = json.loads(resources.files("supersdet.data").joinpath("cp2.json").read_text())
+    change(document)
+    return document
+
+
+@pytest.mark.parametrize("document, argv", [
+    (_cp2_with(lambda d: d.update(signature={"num": 1, "den": 0})), ["lgenus"]),
+    (_cp2_with(lambda d: d.update(signature={"num": "a", "den": 1})), ["lgenus"]),
+    (_cp2_with(lambda d: d.update(signature={"num": True, "den": 1})), ["lgenus"]),
+    (_cp2_with(lambda d: d.update(pontryagin_classes=[1])), ["lgenus"]),
+    (_cp2_with(lambda d: d["basis"][1].update(name=["h"])), ["lgenus"]),
+    (_cp2_with(lambda d: d.update(products=5)), ["lgenus"]),
+    (_cp2_with(lambda d: d["products"][0].update(left=["h"])), ["lgenus"]),
+    (_cp2_with(lambda d: d["products"][0]["result"][0].update(basis=["h2"])), ["lgenus"]),
+    (None, ["pushforward", "--manifold", "builtin:cp2", "--class", "1/0*h"]),
+], ids=["den-zero", "num-string", "num-bool", "classes-list", "basis-name-list",
+        "products-int", "product-left-list", "result-basis-list", "class-den-zero"])
+def test_malformed_manifold_input_is_a_usage_error(capsys, tmp_path, document, argv):
+    if document is not None:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(document))
+        argv = argv + ["--manifold", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("supersdet: ")
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    from supersdet import series as cs
+
+    def broken(K):
+        raise ValueError("planted internal fault")
+
+    monkeypatch.setattr(cs, "l_polynomials", broken)
+    with pytest.raises(ValueError, match="planted internal fault"):
+        cli.main(["lpoly", "--k", "2"])
 
 
 def test_zeta_subcommand(capsys):
@@ -134,16 +179,6 @@ def test_json_determinism(capsys):
         assert code == 0
         outputs.append(out.encode())
     assert outputs[2] == outputs[3]
-
-
-def test_truncation_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SUPERSDET_TRUNCATION", "2")
-    code, out, _ = run_cli(capsys, "sdet", "--n", "4", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["K"] == 2
-    monkeypatch.setenv("SUPERSDET_TRUNCATION", "zero")
-    code, _, err = run_cli(capsys, "sdet", "--n", "4")
-    assert code == 2
 
 
 def test_console_script_runs():

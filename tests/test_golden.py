@@ -54,8 +54,7 @@ def digests():
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-def test_cli_output_matches_recorded_digest(argv, digests, capsys, monkeypatch):
-    monkeypatch.delenv("SUPERSDET_TRUNCATION", raising=False)
+def test_cli_output_matches_recorded_digest(argv, digests, capsys):
     argv = argv + ["--format", "json"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supersdet.gaussian import GaussianRational, I
-from supersdet.grassmann import GrassmannElement, even, odd, odd_product, scalar
+from supersdet.grassmann import GrassmannElement, even, odd, scalar
 
 
 def random_element(rng, odd_names, even_names, terms=3):
@@ -113,5 +113,5 @@ def test_canonical_rendering_is_stable():
     # sorted generators with the permutation sign absorbed
     assert str(f) == "(1/2) + (-1)*a*b*t^2"
     assert str(GrassmannElement()) == "0"
-    g = I * odd_product(["a", "b"])
+    g = I * odd("a") * odd("b")
     assert str(g) == "(1i)*a*b"

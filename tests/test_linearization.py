@@ -80,12 +80,9 @@ def test_emitted_operators_and_boundary_conditions():
     assert out.operators[0].bc == BC.PERIODIC
     assert out.operators[1].bc == BC.PERIODIC
     assert out.operators[2].bc == BC.ANTIPERIODIC
-    assert out.operators[0].coupling == -1
-    assert out.operators[2].coupling == +1
     reference = pa_kinetic_operators(2)
     for ours, ref in zip(out.operators, reference):
-        assert (ours.kind, ours.dim, ours.bc, ours.coupling) == \
-            (ref.kind, ref.dim, ref.bc, ref.coupling)
+        assert (ours.kind, ours.dim, ours.bc) == (ref.kind, ref.dim, ref.bc)
 
 
 def test_lagrangian_is_quadratic_normal_form():

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from supersdet.gaussian import GaussianRational, I
+from supersdet.gaussian import I
 from supersdet import sections as sec
 from supersdet.sections import (
     PolyForm,
     Section,
     TwoPiPower,
     apply_Q,
-    cohomologous,
     from_cocycle,
     grade,
     is_section_of,
@@ -51,28 +50,6 @@ def test_degree_bookkeeping():
     with pytest.raises(ValueError):
         w.degree()
     assert dx(n, 1).wedge(dx(n, 2)).degree() == 2
-
-
-def test_homotopy_operator_identity():
-    n = 3
-    rng = random.Random(3)
-    for _ in range(10):
-        exps = [rng.randrange(0, 3) for _ in range(n)]
-        idxs = sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
-        w = PolyForm.monomial(n, exps, idxs, GaussianRational(rng.randrange(1, 5)))
-        lhs = w.poincare_homotopy().d() + w.d().poincare_homotopy()
-        assert (lhs - w).is_zero()
-
-
-def test_exactness_oracle():
-    n = 3
-    closed = (x(n, 1) * dx(n, 2)).d()
-    assert closed.is_exact()
-    not_closed = x(n, 3) * dx(n, 1)
-    assert not not_closed.is_exact()
-    assert cohomologous(closed, PolyForm(n))
-    assert not cohomologous(PolyForm.constant(n, 1), PolyForm(n))
-    assert cohomologous(PolyForm.constant(n, 1), PolyForm.constant(n, 1) + closed)
 
 
 # ---------------------------------------------------------------------------

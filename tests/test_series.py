@@ -37,7 +37,9 @@ def test_even_zeta_and_half_integer_sums():
 
 def test_zeta_numeric_cross_check():
     # float sanity only; the exact identities above are the real content
-    assert abs(cs.zeta_even(2).to_float() - 1.6449340668482264) < 1e-12
+    zeta_2 = cs.zeta_even(2)
+    assert abs(float(zeta_2.coefficient) * math.pi ** zeta_2.pi_power
+               - 1.6449340668482264) < 1e-12
 
 
 def test_truncated_series_ring():
@@ -48,8 +50,6 @@ def test_truncated_series_ring():
     assert a.log().exp().coeffs == a.coeffs
     geom = TruncatedSeries([Fraction(1)] * 6)
     assert geom.inverse().coeffs == (1, -1, 0, 0, 0, 0)
-    inner = TruncatedSeries([Fraction(0), Fraction(1), Fraction(1)])
-    assert a.compose(inner).coefficient(0) == 1
     with pytest.raises(ValueError):
         a.exp()
     with pytest.raises(ValueError):

@@ -66,8 +66,6 @@ def test_time_reversal_normal_form():
     assert (ss.RM * ss.RM) == ss.RP * ss.RP
     assert ss.RP.inverse() * ss.RP == e
     assert ss.RM.inverse() * ss.RM == e
-    assert ss.PA_HOLONOMY.reverses_time() is False
-    assert ss.RP.reverses_time() is True
     elements = {ss.TimeReversal.word(a, b) for a in range(8) for b in range(4)}
     assert len(elements) == 8
 

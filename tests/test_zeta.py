@@ -130,10 +130,17 @@ def test_zeta_pf_free_values():
         zs.zeta_pf(d_a)
 
 
+def free_part_sum(ops):
+    """The radius exponent of pf(D_eta1) pf(D_eta2) / det(D_a)^{1/2}."""
+    d_a, d_eta1, d_eta2 = ops
+    return zs.zeta_pf(d_eta1).r_exponent + zs.zeta_pf(d_eta2).r_exponent \
+        - zs.zeta_det(d_a).r_exponent / 2
+
+
 def test_sdet_flat_case_is_one():
-    result = zs.sdet(zs.pa_kinetic_operators(5, None))
-    assert result.r_exponent == 0
-    assert (result.value - scalar(1)).is_zero()
+    ops = zs.pa_kinetic_operators(5, None)
+    assert free_part_sum(ops) == 0
+    assert (zs.sdet(ops) - scalar(1)).is_zero()
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -157,8 +164,7 @@ def test_pp_sector_is_one(K):
 
 def test_r_powers_cancel_for_all_dimensions():
     for n in range(1, 9):
-        result = zs.sdet(zs.pa_kinetic_operators(n, zs.FormalCurvature(2)))
-        assert result.r_exponent == 0
+        assert free_part_sum(zs.pa_kinetic_operators(n, zs.FormalCurvature(2))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,14 @@ def test_sdet_report_shapes():
         zs.sdet_report(5, 2, "concrete")
     with pytest.raises(ValueError):
         zs.sdet_report(4, 2, "nonsense")
+
+
+def test_concrete_verdict_checks_the_signature_class(monkeypatch):
+    # the concrete sdet still equals the formal sdet at the curvature's ph
+    # values; only the comparison with the signature class can catch this
+    wrong = cs.l_class_in_ph(2) + cs.GradedPolynomial.generator(1, 2, "ph")
+    monkeypatch.setattr(zs, "l_class_in_ph", lambda K: wrong)
+    assert zs.sdet_report(4, 2, "concrete")["equal"] is False
 
 
 def test_formal_log_pf_antiperiodic_exponent():
