@@ -9,7 +9,7 @@ test suite.
 
 from .gaussian import GaussianRational, I
 from .grassmann import GrassmannElement, even, odd, scalar
-from .sections import PolyForm, Section, apply_Q, is_supersymmetric, to_cocycle
+from .sections import apply_Q, is_supersymmetric, monomial, section, to_cocycle
 from .series import (
     GradedPolynomial,
     TruncatedSeries,

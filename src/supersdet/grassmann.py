@@ -8,7 +8,8 @@ with coefficients in Q(i).  Odd generators anticommute and square to zero;
 they are kept as tuples sorted in the global name order, with the sign of the
 sorting permutation absorbed into the coefficient.  Even variables commute
 with everything and may carry negative exponents (used for the invertible
-radius symbol ``r``).
+radius symbol ``r``) and half-integer Fraction exponents (the radial powers
+r^{k/2} of sections).
 """
 
 from __future__ import annotations

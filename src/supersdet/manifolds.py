@@ -251,9 +251,17 @@ class CohomologyModel:
         return out
 
     def power(self, a: Element, k: int) -> Element:
+        """a^k by repeated squaring, which stops at the first square that
+        vanishes: every later power is zero too."""
         out = self.one()
-        for _ in range(k):
-            out = self.multiply(out, a)
+        while k:
+            if k & 1:
+                out = self.multiply(out, a)
+            k >>= 1
+            if k:
+                a = self.multiply(a, a)
+                if not a:
+                    return self.zero()
         return out
 
     def integrate(self, a: Element) -> Fraction:

@@ -338,10 +338,6 @@ class OddAffineMap:
         beta_inv = self.beta.invert_unit()
         return OddAffineMap(-beta_inv * self.alpha, beta_inv)
 
-    def compose(self, inner: "OddAffineMap") -> "OddAffineMap":
-        # self after inner
-        return OddAffineMap(self.alpha + self.beta * inner.alpha, self.beta * inner.beta)
-
 
 _THETA = "_base_theta"
 
@@ -357,6 +353,13 @@ def induced_base_map(iso: Union[Tuple[G, G], Tuple[Tuple[G, G], TimeReversal]],
     explicit t-dependence cancels; failure to cancel means no affine map
     closes the square and is raised as an error.
     """
+    return _base_map_and_generator(iso, R)[0]
+
+
+def _base_map_and_generator(iso: Union[Tuple[G, G], Tuple[Tuple[G, G], TimeReversal]],
+                            R: Radius) -> Tuple[OddAffineMap, Radius]:
+    """induced_base_map together with the image lattice generator that its
+    descent analysis found."""
     if isinstance(iso, tuple) and len(iso) == 2 and isinstance(iso[1], TimeReversal):
         (u, nu1), twist = iso
     else:
@@ -393,7 +396,7 @@ def induced_base_map(iso: Union[Tuple[G, G], Tuple[Tuple[G, G], TimeReversal]],
     # commutation of the square, verified on the generic point
     if not (the_map(proj_R(p, R).odd_parts[0]) - rhs).is_zero():
         raise AssertionError("induced base map failed to close the square")
-    return the_map
+    return the_map, descent.generator
 
 
 FieldState = Tuple[G, G, G, G]  # (r, rho1, x, psi)
@@ -412,8 +415,8 @@ def action_on_fields(u, nu1, state: FieldState) -> FieldState:
     u, nu1 = G.coerce(u), G.coerce(nu1)
     r, rho1, x, psi = (G.coerce(c) for c in state)
 
-    inv = induced_base_map((u, nu1), (r, rho1)).inverse()
-    new_r, new_rho1 = descend_check((u, nu1, scalar(0)), (r, rho1)).generator
+    base_map, (new_r, new_rho1) = _base_map_and_generator((u, nu1), (r, rho1))
+    inv = base_map.inverse()
     # phi0 = x + theta psi composed with theta -> inv.alpha + inv.beta theta
     x_new = x + inv.alpha * psi
     psi_new = inv.beta * psi

@@ -1,11 +1,12 @@
 """Sparse term arithmetic shared by the package's algebras.
 
-An element of each algebra (Grassmann elements, graded polynomials,
-polynomial forms, sections, cohomology-ring elements) is a dict from a
-monomial key to an exact coefficient, a Fraction or a GaussianRational.
-The functions here build such dicts and never store a zero coefficient, so
-every dict they return is clean.  What a key means, and how two keys
-multiply, stays with the algebra that owns it.
+An element of each algebra (Grassmann elements, which also model
+polynomial forms and sections; graded polynomials; cohomology-ring
+elements) is a dict from a monomial key to an exact coefficient, a
+Fraction or a GaussianRational.  The functions here build such dicts and
+never store a zero coefficient, so every dict they return is clean.  What
+a key means, and how two keys multiply, stays with the algebra that owns
+it.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .gaussian import GaussianRational, I
-from .grassmann import even, odd, scalar
+from .grassmann import GrassmannElement, even, odd, scalar
 from . import superspace as ss
 from . import linearization as lin
 from . import sections as sec
@@ -265,23 +265,23 @@ def _check_linearized_action() -> str:
 # suite: susy
 # ---------------------------------------------------------------------------
 
-def _random_form(rng: random.Random, n: int, degree: int, closed: bool) -> sec.PolyForm:
+def _random_form(rng: random.Random, n: int, degree: int, closed: bool) -> GrassmannElement:
     """A random polynomial form; closed ones arise as d(something) plus a
     constant-coefficient form, non-closed ones are rejected until d != 0."""
-    def random_monomial(deg_form: int) -> sec.PolyForm:
+    def random_monomial(deg_form: int) -> GrassmannElement:
         exps = [rng.randrange(0, 3) for _ in range(n)]
         idxs = rng.sample(range(1, n + 1), deg_form)
         coeff = GaussianRational(rng.randrange(-3, 4) or 1, rng.randrange(-2, 3))
-        return sec.PolyForm.monomial(n, exps, idxs, coeff)
+        return sec.monomial(exps, idxs, coeff)
 
     if closed:
         if degree == 0:
-            return sec.PolyForm.constant(n, Fraction(rng.randrange(1, 5)))
-        acc = random_monomial(degree - 1).d() if degree >= 1 else sec.PolyForm(n)
-        const = sec.PolyForm(n, {(tuple([0] * n), tuple(sorted(rng.sample(range(1, n + 1), degree)))):
-                                 GaussianRational(rng.randrange(1, 4))})
+            return scalar(Fraction(rng.randrange(1, 5)))
+        acc = sec.d(random_monomial(degree - 1))
+        const = sec.monomial([0] * n, sorted(rng.sample(range(1, n + 1), degree)),
+                             GaussianRational(rng.randrange(1, 4)))
         out = acc + const
-        check(out.is_closed())
+        check(sec.is_closed(out))
         return out
     # a monomial form with a coefficient depending on a variable outside the
     # index set is never closed; this needs 1 <= degree < n
@@ -292,8 +292,8 @@ def _random_form(rng: random.Random, n: int, degree: int, closed: bool) -> sec.P
     exps = [rng.randrange(0, 3) for _ in range(n)]
     exps[outside - 1] = rng.randrange(1, 3)
     coeff = GaussianRational(rng.randrange(-3, 4) or 1, rng.randrange(-2, 3))
-    candidate = sec.PolyForm.monomial(n, exps, idxs, coeff)
-    check(not candidate.d().is_zero())
+    candidate = sec.monomial(exps, idxs, coeff)
+    check(not sec.d(candidate).is_zero())
     return candidate
 
 
@@ -309,7 +309,7 @@ def _check_q_kernel_randomized() -> str:
         form = _random_form(rng, n, degree, closed)
         right_power = rng.random() < 0.5
         q = Fraction(degree, 2) if right_power else Fraction(degree, 2) + rng.choice([1, -1, Fraction(1, 2)])
-        s = sec.Section.from_form(n, form, q)
+        s = sec.section(form, q)
         if s.is_zero():
             continue
         expected = closed and q == Fraction(degree, 2)
@@ -322,23 +322,22 @@ def _check_q_kernel_randomized() -> str:
 def _check_q_squared() -> str:
     count = 0
     for n in (1, 2, 3, 4, 5):
-        forms = [sec.PolyForm.constant(n)]
-        forms.append(sec.PolyForm.coordinate(n, 1) * sec.PolyForm.coordinate(n, 1))
+        forms = [scalar(1)]
+        forms.append(sec.coordinate(1) * sec.coordinate(1))
         # one monomial form in every exterior degree up to the top
         for degree in range(1, n + 1):
             exps = [0] * n
             exps[0] = 1
-            forms.append(sec.PolyForm.monomial(n, exps, list(range(1, degree + 1))))
+            forms.append(sec.monomial(exps, range(1, degree + 1)))
         if n >= 2:
-            forms.append(sec.PolyForm.coordinate(n, 1) * sec.PolyForm.d_coordinate(n, 2))
+            forms.append(sec.coordinate(1) * sec.d_coordinate(2))
         if n >= 3:
-            forms.append(sec.PolyForm.coordinate(n, 2) *
-                         sec.PolyForm.d_coordinate(n, 2).wedge(sec.PolyForm.d_coordinate(n, 3)))
+            forms.append(sec.coordinate(2) * sec.d_coordinate(2) * sec.d_coordinate(3))
         for double_q in range(-4, 5):
             q = Fraction(double_q, 2)
             for form in forms:
                 for rho in (0, 1):
-                    s = sec.Section.from_form(n, form, q, rho)
+                    s = sec.section(form, q, rho)
                     lhs = sec.q_squared(s)
                     rhs = -1 * I * sec.scale_r(sec.rho_d(s), Fraction(-1))
                     check((lhs - rhs).is_zero(), (n, q, rho, form))
@@ -347,54 +346,52 @@ def _check_q_squared() -> str:
 
 
 def _check_grading() -> str:
-    n = 5
-    top = sec.PolyForm.d_coordinate(n, 1)
+    top = sec.d_coordinate(1)
     for i in range(2, 6):
-        top = top.wedge(sec.PolyForm.d_coordinate(n, i))
-    s_top = sec.Section.from_form(n, top, Fraction(5, 2))
-    s_one = sec.Section.from_form(n, sec.PolyForm.d_coordinate(n, 1), Fraction(1, 2))
+        top = top * sec.d_coordinate(i)
+    s_top = sec.section(top, Fraction(5, 2))
+    s_one = sec.section(sec.d_coordinate(1), Fraction(1, 2))
     check(sec.grade(s_one) == {1})
     check(sec.grade(s_top) == {1})
     check(sec.grade(s_one + s_top) == {1}, "4-periodicity broken")
-    four = sec.PolyForm.d_coordinate(4, 1)
+    four = sec.d_coordinate(1)
     for i in range(2, 5):
-        four = four.wedge(sec.PolyForm.d_coordinate(4, i))
-    check(sec.grade(sec.Section.from_form(4, four, Fraction(2))) == {0})
-    a = sec.Section.from_form(n, sec.PolyForm.d_coordinate(n, 1), Fraction(1, 2))
-    b = sec.Section.from_form(n, sec.PolyForm.d_coordinate(n, 2), Fraction(1, 2))
+        four = four * sec.d_coordinate(i)
+    check(sec.grade(sec.section(four, Fraction(2))) == {0})
+    a = sec.section(sec.d_coordinate(1), Fraction(1, 2))
+    b = sec.section(sec.d_coordinate(2), Fraction(1, 2))
     check(sec.grade(a * b) == {2})
     check(sec.is_section_of(a, 1) and sec.is_section_of(a, 5))
     # Q sends a weight-homogeneous section to a weight-homogeneous image
-    beta = sec.PolyForm.coordinate(n, 1) * sec.PolyForm.d_coordinate(n, 2)
-    s = sec.Section.from_form(n, beta, Fraction(1))
+    beta = sec.coordinate(1) * sec.d_coordinate(2)
+    s = sec.section(beta, Fraction(1))
     qs = sec.apply_Q(s)
     check(len(sec.grade(qs)) == 1)
     return "weights multiply mod 4; rho counts one unit; Q image homogeneous"
 
 
 def _check_cocycles() -> str:
-    n = 3
-    omega = sec.PolyForm.d_coordinate(n, 1).wedge(sec.PolyForm.d_coordinate(n, 2))
-    s = sec.Section.from_form(n, omega, Fraction(1))
+    omega = sec.d_coordinate(1) * sec.d_coordinate(2)
+    s = sec.section(omega, Fraction(1))
     coc = sec.to_cocycle(s)
     check(len(coc) == 1)
     check(coc[0][0].exponent == Fraction(-1))
-    back = sec.from_cocycle(n, coc)
+    back = sec.from_cocycle(coc)
     check((back - s).is_zero())
-    unit = sec.Section.from_form(n, sec.PolyForm.constant(n))
+    unit = scalar(1)
     check(sec.to_cocycle(unit)[0][0].exponent == 0)
-    a = sec.Section.from_form(n, sec.PolyForm.d_coordinate(n, 1), Fraction(1, 2))
-    b = sec.Section.from_form(n, sec.PolyForm.d_coordinate(n, 2), Fraction(1, 2))
+    a = sec.section(sec.d_coordinate(1), Fraction(1, 2))
+    b = sec.section(sec.d_coordinate(2), Fraction(1, 2))
     ca, cb, cab = sec.to_cocycle(a), sec.to_cocycle(b), sec.to_cocycle(a * b)
     power = ca[0][0] * cb[0][0]
     check(power.exponent == cab[0][0].exponent)
-    wedge = ca[0][1].wedge(cb[0][1]) * power.coefficient
+    wedge = ca[0][1] * cb[0][1] * power.coefficient
     check((wedge - cab[0][1] * cab[0][0].coefficient).is_zero())
     mixed = s + unit
     pieces = sec.to_cocycle(mixed)
     check([p.exponent for p, _f in pieces] == [Fraction(0), Fraction(-1)])
     try:
-        sec.to_cocycle(sec.Section.from_form(n, omega, Fraction(2)))
+        sec.to_cocycle(sec.section(omega, Fraction(2)))
         raise RuntimeError("unreachable")
     except ValueError:
         pass

@@ -1,12 +1,20 @@
 import json
+import os
 import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from supersdet import cli
+
+
+# a child interpreter finds the package in src/ without an install
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +150,10 @@ def test_pushforward_subcommand(capsys):
     code, _, _ = run_cli(capsys, "pushforward", "--manifold", "builtin:k3xcp2",
                          "--class", "1")
     assert code == 2  # numbers-only manifolds carry no ring model
+    code, out, _ = run_cli(capsys, "pushforward", "--manifold", "cp2",
+                           "--class", "h^1000000000")
+    assert code == 0
+    assert out.strip().endswith("= 0")
 
 
 def test_verify_suite_exit_code(capsys):
@@ -161,7 +173,7 @@ sys.exit(cli.main(["verify", "--suite", "series"]))
 
 def test_verify_checks_hold_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", SIGN_FLIP_IN_SERIES],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 1
     passed = re.search(r"(\d+)/6 checks passed", proc.stdout)
     assert passed and int(passed.group(1)) < 6
@@ -184,7 +196,7 @@ def test_json_determinism(capsys):
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "supersdet.cli", "lgenus", "--manifold", "builtin:hp2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert "MATCH" in proc.stdout
 

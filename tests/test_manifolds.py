@@ -200,6 +200,20 @@ def test_parse_class_expressions():
         mf.parse_class("nope", model)
 
 
+def test_power_stops_at_the_first_zero_power(monkeypatch):
+    model = mf.builtin("cp2")
+    calls = []
+    original = mf.CohomologyModel.multiply
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(mf.CohomologyModel, "multiply", counting)
+    assert mf.parse_class("h^1000", model) == model.zero()
+    assert len(calls) <= 3
+
+
 def test_product_with_the_point():
     point = mf.PontryaginData("pt", 0, {(): Fraction(1)}, Fraction(1))
     assert mf.l_genus(point) == 1

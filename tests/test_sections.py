@@ -1,15 +1,16 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supersdet.gaussian import I
-from supersdet import sections as sec
+from supersdet.gaussian import GaussianRational, I
+from supersdet.grassmann import GrassmannElement, scalar
 from supersdet.sections import (
-    PolyForm,
-    Section,
     TwoPiPower,
     apply_Q,
+    d,
+    degree_component,
+    degrees,
     from_cocycle,
     grade,
     is_section_of,
@@ -17,16 +18,10 @@ from supersdet.sections import (
     q_squared,
     rho_d,
     scale_r,
+    section,
     to_cocycle,
 )
-
-
-def dx(n, i):
-    return PolyForm.d_coordinate(n, i)
-
-
-def x(n, i):
-    return PolyForm.coordinate(n, i)
+from supersdet.sections import coordinate as x, d_coordinate as dx
 
 
 # ---------------------------------------------------------------------------
@@ -34,22 +29,19 @@ def x(n, i):
 # ---------------------------------------------------------------------------
 
 def test_wedge_antisymmetry_and_nilpotence():
-    n = 4
-    assert (dx(n, 1).wedge(dx(n, 2)) + dx(n, 2).wedge(dx(n, 1))).is_zero()
-    assert dx(n, 3).wedge(dx(n, 3)).is_zero()
-    w = x(n, 1) * dx(n, 2)
-    assert (w.d() - dx(n, 1).wedge(dx(n, 2))).is_zero()
-    assert w.d().d().is_zero()
+    assert (dx(1) * dx(2) + dx(2) * dx(1)).is_zero()
+    assert (dx(3) * dx(3)).is_zero()
+    w = x(1) * dx(2)
+    assert (d(w) - dx(1) * dx(2)).is_zero()
+    assert d(d(w)).is_zero()
 
 
 def test_degree_bookkeeping():
-    n = 3
-    w = dx(n, 1).wedge(dx(n, 2)) + PolyForm.constant(n, 2)
-    assert w.degrees() == {0, 2}
-    assert w.degree_component(2).degree() == 2
-    with pytest.raises(ValueError):
-        w.degree()
-    assert dx(n, 1).wedge(dx(n, 2)).degree() == 2
+    w = dx(1) * dx(2) + scalar(2)
+    assert degrees(w) == {0, 2}
+    assert degrees(degree_component(w, 2)) == {2}
+    assert len(degrees(w)) > 1  # not homogeneous
+    assert degrees(dx(1) * dx(2)) == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -57,56 +49,51 @@ def test_degree_bookkeeping():
 # ---------------------------------------------------------------------------
 
 def test_constants_are_closed():
-    s = Section.from_form(3, PolyForm.constant(3))
+    s = section(scalar(1))
     assert apply_Q(s).is_zero()
-    assert is_supersymmetric(Section(3))
+    assert is_supersymmetric(GrassmannElement())
 
 
 def test_kernel_needs_matching_power_and_closedness():
-    n = 3
-    omega = dx(n, 1).wedge(dx(n, 2))
-    assert is_supersymmetric(Section.from_form(n, omega, Fraction(1)))
-    assert not is_supersymmetric(Section.from_form(n, omega, Fraction(2)))
-    beta = x(n, 1) * dx(n, 2).wedge(dx(n, 3))
-    s = Section.from_form(n, beta, Fraction(1))
+    omega = dx(1) * dx(2)
+    assert is_supersymmetric(section(omega, Fraction(1)))
+    assert not is_supersymmetric(section(omega, Fraction(2)))
+    beta = x(1) * dx(2) * dx(3)
+    s = section(beta, Fraction(1))
     qs = apply_Q(s)
     # the radial and degree terms cancel at the matching power: what is left
     # is exactly -r^{1} d(beta)
-    assert (qs + Section.from_form(n, beta.d(), Fraction(1))).is_zero()
+    assert (qs + section(d(beta), Fraction(1))).is_zero()
 
 
 def test_q_is_odd():
-    n = 2
-    s = Section.from_form(n, dx(n, 1), Fraction(1, 2))
+    s = section(dx(1), Fraction(1, 2))
     assert s.parity() == 1
-    qs = apply_Q(Section.from_form(n, x(n, 1) * dx(n, 2), Fraction(1)))
+    qs = apply_Q(section(x(1) * dx(2), Fraction(1)))
     assert qs.parity() == 0  # flipped from the odd input
 
 
 def test_q_squared_closed_form():
-    n = 3
-    rng = random.Random(9)
     forms = [
-        PolyForm.constant(n),
-        x(n, 1) * x(n, 2) * PolyForm.constant(n),
-        dx(n, 1),
-        x(n, 1) * dx(n, 2),
-        x(n, 3) * dx(n, 1).wedge(dx(n, 2)),
+        scalar(1),
+        x(1) * x(2),
+        dx(1),
+        x(1) * dx(2),
+        x(3) * dx(1) * dx(2),
     ]
     for form in forms:
         for double_q in range(-4, 5):
             q = Fraction(double_q, 2)
             for rho in (0, 1):
-                s = Section.from_form(n, form, q, rho)
+                s = section(form, q, rho)
                 lhs = q_squared(s)
                 rhs = -1 * I * scale_r(rho_d(s), Fraction(-1))
                 assert (lhs - rhs).is_zero()
 
 
 def test_q_squared_example():
-    n = 2
-    s = Section.from_form(n, x(n, 1) * dx(n, 2), Fraction(0))
-    expected = -1 * I * Section.from_form(n, dx(n, 1).wedge(dx(n, 2)), Fraction(-1), rho=1)
+    s = section(x(1) * dx(2), Fraction(0))
+    expected = -1 * I * section(dx(1) * dx(2), Fraction(-1), rho=1)
     assert (q_squared(s) - expected).is_zero()
 
 
@@ -115,71 +102,68 @@ def test_q_squared_example():
 # ---------------------------------------------------------------------------
 
 def test_grade_examples():
-    four = dx(4, 1).wedge(dx(4, 2)).wedge(dx(4, 3)).wedge(dx(4, 4))
-    assert grade(Section.from_form(4, four, Fraction(2))) == {0}
-    assert grade(Section.from_form(1, dx(1, 1), Fraction(1, 2))) == {1}
-    n = 5
-    top = dx(n, 1)
+    four = dx(1) * dx(2) * dx(3) * dx(4)
+    assert grade(section(four, Fraction(2))) == {0}
+    assert grade(section(dx(1), Fraction(1, 2))) == {1}
+    top = dx(1)
     for i in range(2, 6):
-        top = top.wedge(dx(n, i))
-    s = Section.from_form(n, dx(n, 1), Fraction(1, 2)) \
-        + Section.from_form(n, top, Fraction(5, 2))
+        top = top * dx(i)
+    s = section(dx(1), Fraction(1, 2)) + section(top, Fraction(5, 2))
     assert grade(s) == {1}
     assert is_section_of(s, 1) and is_section_of(s, 5) and not is_section_of(s, 2)
 
 
 def test_grade_multiplicative_and_rho_shift():
-    n = 4
-    a = Section.from_form(n, dx(n, 1), Fraction(1, 2))
-    b = Section.from_form(n, dx(n, 2).wedge(dx(n, 3)), Fraction(1))
+    a = section(dx(1), Fraction(1, 2))
+    b = section(dx(2) * dx(3), Fraction(1))
     assert grade(a * b) == {3}
-    rho_term = Section.from_form(n, dx(n, 1), Fraction(0), rho=1)
+    rho_term = section(dx(1), Fraction(0), rho=1)
     assert grade(rho_term) == {2}
     # Q maps weight-homogeneous sections to weight-homogeneous sections
-    s = Section.from_form(n, x(n, 1) * dx(n, 2), Fraction(1))
+    s = section(x(1) * dx(2), Fraction(1))
     assert len(grade(apply_Q(s))) == 1
 
 
 def test_rho_koszul_sign_in_products():
-    n = 2
-    rho_even = Section.from_form(n, PolyForm.constant(n), Fraction(0), rho=1)
-    odd_form = Section.from_form(n, dx(n, 1), Fraction(0))
+    rho_even = section(scalar(1), Fraction(0), rho=1)
+    odd_form = section(dx(1), Fraction(0))
     # rho * dx1 = - dx1 * rho as sections
     assert (rho_even * odd_form + odd_form * rho_even).is_zero()
     assert (rho_even * rho_even).is_zero()
 
 
 def test_to_cocycle_and_back():
-    n = 3
-    omega = dx(n, 1).wedge(dx(n, 2))
-    s = Section.from_form(n, omega, Fraction(1))
+    omega = dx(1) * dx(2)
+    s = section(omega, Fraction(1))
     pieces = to_cocycle(s)
     assert len(pieces) == 1
     power, form = pieces[0]
     assert power == TwoPiPower(Fraction(1), Fraction(-1))
     assert (form - omega).is_zero()
-    assert (from_cocycle(n, pieces) - s).is_zero()
-    unit = Section.from_form(n, PolyForm.constant(n))
+    assert (from_cocycle(pieces) - s).is_zero()
+    unit = section(scalar(1))
     assert to_cocycle(unit)[0][0].exponent == 0
 
 
 def test_to_cocycle_faults():
-    n = 2
-    omega = dx(n, 1).wedge(dx(n, 2))
+    omega = dx(1) * dx(2)
     with pytest.raises(ValueError):
-        to_cocycle(Section.from_form(n, omega, Fraction(2)))
+        to_cocycle(section(omega, Fraction(2)))
     with pytest.raises(ValueError):
-        to_cocycle(Section.from_form(n, omega, Fraction(1), rho=1))
+        to_cocycle(section(omega, Fraction(1), rho=1))
     with pytest.raises(ValueError):
-        to_cocycle(Section.from_form(n, x(n, 1) * dx(n, 2), Fraction(1, 2)))
+        to_cocycle(section(x(1) * dx(2), Fraction(1, 2)))
+
+
+def test_r_exponent_must_be_half_integer():
+    with pytest.raises(ValueError):
+        section(dx(1), Fraction(1, 3))
 
 
 def test_cup_product_compatibility():
-    n = 4
-    a = Section.from_form(n, dx(n, 1), Fraction(1, 2))
-    b = Section.from_form(n, x(n, 1) * dx(n, 2) + dx(n, 3), Fraction(1, 2))
-    # b is not closed in its first summand; build a closed combination instead
-    closed_b = Section.from_form(n, (x(n, 1) * dx(n, 2)).d(), Fraction(1))
+    a = section(dx(1), Fraction(1, 2))
+    # x1 dx2 + dx3 is not closed in its first summand; build a closed one instead
+    closed_b = section(d(x(1) * dx(2)), Fraction(1))
     for left, right in ((a, closed_b), (a, a * closed_b)):
         if (left * right).is_zero():
             continue
@@ -187,14 +171,30 @@ def test_cup_product_compatibility():
         assert len(ca) == len(cb) == len(cab) == 1
         power = ca[0][0] * cb[0][0]
         assert power.exponent == cab[0][0].exponent
-        lhs = ca[0][1].wedge(cb[0][1]) * power.coefficient
+        lhs = ca[0][1] * cb[0][1] * power.coefficient
         rhs = cab[0][1] * cab[0][0].coefficient
         assert (lhs - rhs).is_zero()
 
 
-def test_section_canonical_rendering():
-    n = 2
-    s = Section.from_form(n, 3 * dx(n, 1).wedge(dx(n, 2)), Fraction(1)) \
-        + Section.from_form(n, PolyForm.constant(n, Fraction(1, 2)), Fraction(0), rho=1)
-    assert str(s) == "(1/2)*rho + (3)*r^1*dx1*dx2"
-    assert str(Section(n)) == "0"
+# ---------------------------------------------------------------------------
+# Q is an odd derivation
+# ---------------------------------------------------------------------------
+
+def homogeneous_sections(parity):
+    """Random sections in x1..x3, dx1..dx3, rho and r^{k/2}, all of one parity."""
+    odd_part = st.sampled_from((parity, parity + 2)).flatmap(
+        lambda k: st.lists(st.sampled_from(("dx1", "dx2", "dx3", "rho")), unique=True,
+                           min_size=k, max_size=k)).map(lambda xs: tuple(sorted(xs)))
+    r_part = st.integers(-3, 3).map(lambda k: (("r", Fraction(k, 2)),) if k else ())
+    x_part = st.tuples(*[st.integers(0, 2)] * 3).map(
+        lambda es: tuple((f"x{i}", e) for i, e in enumerate(es, 1) if e))
+    key = st.tuples(odd_part, st.tuples(r_part, x_part).map(lambda p: p[0] + p[1]))
+    coeff = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+    return st.dictionaries(key, coeff, max_size=3).map(GrassmannElement)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(st.integers(0, 1), st.integers(0, 1), st.data())
+def test_q_is_an_odd_derivation(p, q, data):
+    a, b = data.draw(homogeneous_sections(p)), data.draw(homogeneous_sections(q))
+    assert apply_Q(a * b) == apply_Q(a) * b + (-1) ** p * (a * apply_Q(b))

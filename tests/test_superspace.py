@@ -154,6 +154,20 @@ def test_action_on_fields_matches_closed_form_and_group_law():
         assert (a - b).is_zero()
 
 
+def test_action_on_fields_runs_the_descent_analysis_once(monkeypatch):
+    calls = []
+    original = ss.descend_check
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ss, "descend_check", counting)
+    state = (even("r"), odd("rho1"), even("x"), odd("psi"))
+    ss.action_on_fields(even("u"), odd("nu1"), state)
+    assert len(calls) == 1
+
+
 def test_r11_inclusion_needs_the_i():
     u, v, up, vp = even("u"), odd("nu"), even("up"), odd("nup")
     with_i = ss.multiply_r11((u, v), (up, vp))
