@@ -467,9 +467,6 @@ def load_manifold_file(path: str) -> ManifoldLike:
 # class expressions for the CLI
 # ---------------------------------------------------------------------------
 
-_TERM = re.compile(r"^\s*([+-]?[^+]+)")
-
-
 def parse_class(expr: str, M: CohomologyModel) -> Element:
     """A linear combination of basis powers: terms joined by '+', each a '*'
     product of rational constants and basis names with optional ^k."""

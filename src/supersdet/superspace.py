@@ -28,41 +28,28 @@ G = GrassmannElement
 
 @dataclass(frozen=True)
 class SuperPoint:
-    """A point of R^{1|q}: one even coordinate (None for R^{0|1}) and q odd ones."""
+    """A point of R^{1|2}: one even coordinate and two odd ones."""
 
-    even_part: Optional[GrassmannElement]
-    odd_parts: Tuple[GrassmannElement, ...]
+    even_part: GrassmannElement
+    odd_parts: Tuple[GrassmannElement, GrassmannElement]
 
     def __post_init__(self):
-        if self.even_part is not None and not self.even_part.is_zero() \
-                and self.even_part.parity() != 0:
+        if self.even_part.parity() != 0:
             raise ValueError("even coordinate has odd terms")
         for component in self.odd_parts:
             if not component.is_zero() and component.parity() != 1:
                 raise ValueError("odd coordinate has even terms")
 
-    @property
-    def arity(self) -> Tuple[int, int]:
-        return (0 if self.even_part is None else 1, len(self.odd_parts))
-
     def __sub__(self, other: "SuperPoint") -> "SuperPoint":
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-        ev = None if self.even_part is None else self.even_part - other.even_part
-        return SuperPoint(ev, tuple(a - b for a, b in zip(self.odd_parts, other.odd_parts)))
+        return SuperPoint(self.even_part - other.even_part,
+                          tuple(a - b for a, b in zip(self.odd_parts, other.odd_parts)))
 
     def is_zero(self) -> bool:
-        if self.even_part is not None and not self.even_part.is_zero():
-            return False
-        return all(c.is_zero() for c in self.odd_parts)
+        return self.even_part.is_zero() and all(c.is_zero() for c in self.odd_parts)
 
 
 def point_r12(t, theta1, theta2) -> SuperPoint:
     return SuperPoint(G.coerce(t), (G.coerce(theta1), G.coerce(theta2)))
-
-
-def point_r01(theta) -> SuperPoint:
-    return SuperPoint(None, (G.coerce(theta),))
 
 
 def identity_r12() -> SuperPoint:
@@ -71,8 +58,6 @@ def identity_r12() -> SuperPoint:
 
 def multiply_r12(p: SuperPoint, q: SuperPoint) -> SuperPoint:
     """Group law (t,o1,o2)*(t',o1',o2') = (t+t'+i o1 o1'+i o2 o2', o1+o1', o2+o2')."""
-    if p.arity != (1, 2) or q.arity != (1, 2):
-        raise ValueError("multiply_r12 needs two points of arity (1|2)")
     t, o1, o2 = p.even_part, p.odd_parts[0], p.odd_parts[1]
     s, u1, u2 = q.even_part, q.odd_parts[0], q.odd_parts[1]
     return point_r12(t + s + I * o1 * u1 + I * o2 * u2, o1 + u1, o2 + u2)
@@ -143,8 +128,6 @@ def _act_rm(p: SuperPoint) -> SuperPoint:
 
 def act_time_reversal(g: TimeReversal, p: SuperPoint) -> SuperPoint:
     """Action of T on R^{1|2}; the generators act by (t,o1,o2) -> (-t, +-i o1, i o2)."""
-    if p.arity != (1, 2):
-        raise ValueError("act_time_reversal needs a point of arity (1|2)")
     out = p
     for _ in range(g.minus):
         out = _act_rm(out)
@@ -213,10 +196,11 @@ def mu_R_inverse(q: SuperPoint, R: Radius) -> SuperPoint:
                         inverse_r12(point_r12(r, rho1, 0)))
 
 
-def proj_R(p: SuperPoint, R: Radius) -> SuperPoint:
-    """The lattice-invariant projection (t,o1,o2) -> o1 - rho1 * t / r."""
+def proj_R(p: SuperPoint, R: Radius) -> G:
+    """The lattice-invariant projection (t,o1,o2) -> o1 - rho1 * t / r, the
+    odd coordinate of the super circle."""
     r, rho1 = G.coerce(R[0]), G.coerce(R[1])
-    return point_r01(p.odd_parts[0] - rho1 * p.even_part * r.invert_unit())
+    return p.odd_parts[0] - rho1 * p.even_part * r.invert_unit()
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +360,7 @@ def _base_map_and_generator(iso: Union[Tuple[G, G], Tuple[Tuple[G, G], TimeRever
     p = _fresh_point(u, nu1, r, rho1)
     # the vertical arrow of the square: the plain left action p -> g . twist(p)
     moved = _apply_isometry(translation, twist, p, base_point_preserving=False)
-    rhs = proj_R(moved, descent.generator).odd_parts[0]
+    rhs = proj_R(moved, descent.generator)
 
     # invert the source projection: o1 = theta + rho1 t / r
     theta = odd(_THETA)
@@ -394,7 +378,7 @@ def _base_map_and_generator(iso: Union[Tuple[G, G], Tuple[Tuple[G, G], TimeRever
     the_map = OddAffineMap(alpha, beta)
 
     # commutation of the square, verified on the generic point
-    if not (the_map(proj_R(p, R).odd_parts[0]) - rhs).is_zero():
+    if not (the_map(proj_R(p, R)) - rhs).is_zero():
         raise AssertionError("induced base map failed to close the square")
     return the_map, descent.generator
 

@@ -259,3 +259,19 @@ def test_sdet_computes_each_side_once(capsys, monkeypatch, fmt):
     code, out, _ = run_cli(capsys, "sdet", "--n", "4", "--k", "3", "--format", fmt)
     assert code == 0 and out
     assert calls == {"sdet_formal": 1, "l_class_in_ph": 1}
+
+
+def test_connection_free_expansion_fails_the_linearized_check(capsys, monkeypatch):
+    from supersdet import linearization as lin
+    from supersdet.gaussian import I
+    from supersdet.grassmann import odd
+
+    def connection_free(vec):
+        th1 = odd("theta1")
+        return [entry.derivative_odd("theta1") - I * th1 * lin.time_derivative(entry)
+                for entry in vec]
+
+    monkeypatch.setattr(lin, "covariant_D1", connection_free)
+    code, out, err = run_cli(capsys, "verify", "--suite", "grassmann")
+    assert code == 1 and err == ""
+    assert "[FAIL] grassmann: linearized action expansion" in out

@@ -115,3 +115,10 @@ def test_canonical_rendering_is_stable():
     assert str(GrassmannElement()) == "0"
     g = I * odd("a") * odd("b")
     assert str(g) == "(1i)*a*b"
+
+
+def test_elements_are_unhashable():
+    # scalar(1) == 1, so no hash could agree with equality
+    assert scalar(1) == 1
+    with pytest.raises(TypeError):
+        hash(scalar(1))
