@@ -15,6 +15,14 @@ ScalarLike = Union[int, Fraction, "GaussianRational"]
 _FRACTION_ZERO = Fraction(0)
 
 
+def _of(re: Fraction, im: Fraction) -> "GaussianRational":
+    """Wrap parts that are already Fractions, skipping __init__'s conversion."""
+    out = GaussianRational.__new__(GaussianRational)
+    out.re = re
+    out.im = im
+    return out
+
+
 class GaussianRational:
     """An element a + b*i of Q(i), with a, b exact :class:`fractions.Fraction`s.
 
@@ -43,7 +51,7 @@ class GaussianRational:
         if not GaussianRational._accepts(other):
             return NotImplemented
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _of(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -51,7 +59,7 @@ class GaussianRational:
         if not GaussianRational._accepts(other):
             return NotImplemented
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _of(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         if not GaussianRational._accepts(other):
@@ -59,19 +67,16 @@ class GaussianRational:
         return GaussianRational.coerce(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _of(-self.re, -self.im)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         if not GaussianRational._accepts(other):
             return NotImplemented
         other = GaussianRational.coerce(other)
         if not self.im and not other.im:
-            # real times real: one rational product, no re-wrapping in __init__
-            out = GaussianRational.__new__(GaussianRational)
-            out.re = self.re * other.re
-            out.im = _FRACTION_ZERO
-            return out
-        return GaussianRational(
+            # real times real: one rational product
+            return _of(self.re * other.re, _FRACTION_ZERO)
+        return _of(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )

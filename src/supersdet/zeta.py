@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 from . import terms
-from .gaussian import I
-from .grassmann import GrassmannElement, even, scalar
+from .gaussian import GaussianRational, I
+from .grassmann import GrassmannElement, _mul_even, even, scalar
 from .series import (
     GradedPolynomial,
     l_class_in_ph,
@@ -92,7 +92,16 @@ def trace_inv_power(bc: BoundaryCondition, two_k: int) -> RPower:
 # ---------------------------------------------------------------------------
 
 class CurvatureMatrix:
-    """Concrete antisymmetric matrix with even nilpotent Grassmann entries."""
+    """Concrete antisymmetric matrix with even nilpotent Grassmann entries.
+
+    The powers of R are built in a kernel private to this class.  Bit i of a
+    mask stands for the i-th odd generator in sorted-name order, the order in
+    which GrassmannElement keeps its generators, so the sign of a product
+    (the parity of its inversions) is the sign GrassmannElement gives.  The
+    denominators of all Q(i) coefficients are cleared once, R = R_int / d,
+    so an entry is a dict {(mask, even monomial): (re, im)} over the
+    Gaussian integers; a trace is divided by d^m when it leaves the kernel.
+    """
 
     def __init__(self, entries: Sequence[Sequence[GrassmannElement]]):
         n = len(entries)
@@ -108,10 +117,19 @@ class CurvatureMatrix:
                     raise ValueError(f"entry ({i},{j}) is not nilpotent")
                 if not rows[i][j].is_zero() and rows[i][j].parity() != 0:
                     raise ValueError(f"entry ({i},{j}) is not even")
-        self.entries = tuple(rows)
         self.n = n
-        # R, R^2, ...: built on demand and shared by every trace of this matrix
-        self._powers = [self.entries]
+        self._names = sorted(set().union(*(e.odd_generators() for row in rows for e in row)))
+        bit = {name: 1 << i for i, name in enumerate(self._names)}
+        d = math.lcm(*(part.denominator for row in rows for e in row
+                       for c in e.terms.values() for part in (c.re, c.im)))
+        self._denominator = d
+
+        def integral(e: GrassmannElement) -> dict:
+            return {(sum(bit[g] for g in odd), ev): (int(c.re * d), int(c.im * d))
+                    for (odd, ev), c in e.terms.items()}
+
+        # R_int, R_int^2, ...: built on demand and shared by every trace
+        self._powers = [tuple(tuple(integral(e) for e in row) for row in rows)]
 
     def matrix_power_trace(self, m: int) -> GrassmannElement:
         """Tr(R^m).  The powers of R are built once per matrix, one product at
@@ -120,15 +138,21 @@ class CurvatureMatrix:
         if m < 1:
             raise ValueError("m must be >= 1")
         powers = self._powers
-        while len(powers) < m and not _is_zero_matrix(powers[-1]):
-            powers.append(_matmul(powers[-1], self.entries))
+        while len(powers) < m and any(any(row) for row in powers[-1]):
+            powers.append(_matmul(powers[-1], powers[0]))
         if len(powers) < m:
             return GrassmannElement()
-        power = powers[m - 1]
-        acc = GrassmannElement()
-        for i in range(self.n):
-            acc = acc + power[i][i]
-        return acc
+        acc = {}
+        for i, row in enumerate(powers[m - 1]):
+            for key, (re, im) in row[i].items():
+                old = acc.get(key)
+                acc[key] = (re + old[0], im + old[1]) if old else (re, im)
+        scale = self._denominator ** m
+        names = self._names
+        return GrassmannElement({
+            (tuple(name for i, name in enumerate(names) if mask >> i & 1), ev):
+                GaussianRational(Fraction(re, scale), Fraction(im, scale))
+            for (mask, ev), (re, im) in acc.items() if re or im})
 
     def scaled_trace(self, k: int) -> GrassmannElement:
         """(i r)^{2k} Tr(R^{2k}), an even Grassmann element with r-powers."""
@@ -137,12 +161,8 @@ class CurvatureMatrix:
 
     def max_relevant_k(self) -> int:
         """Traces of order beyond the generator count vanish; cap the sums."""
-        gens = set()
-        for row in self.entries:
-            for e in row:
-                gens |= e.odd_generators()
         # each R factor contributes at least two odd generators
-        return max(1, len(gens) // 2) if gens else 1
+        return max(1, len(self._names) // 2)
 
     def assert_odd_traces_vanish(self, max_m: int) -> None:
         for m in range(1, max_m + 1, 2):
@@ -150,20 +170,41 @@ class CurvatureMatrix:
                 raise AssertionError(f"odd-power trace Tr(R^{m}) is nonzero")
 
 
-def _is_zero_matrix(a) -> bool:
-    return all(e.is_zero() for row in a for e in row)
-
-
 def _matmul(a, b):
-    n = len(a)
+    """The product of two matrices in CurvatureMatrix's kernel form."""
+    columns = list(zip(*b))
+    signs = {}
     out = []
-    for i in range(n):
+    for row_a in a:
         row = []
-        for j in range(n):
-            acc = GrassmannElement()
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
+        for column in columns:
+            acc = {}
+            for x, y in zip(row_a, column):
+                if not x or not y:
+                    continue
+                y = y.items()
+                for (m1, e1), (r1, i1) in x.items():
+                    for (m2, e2), (r2, i2) in y:
+                        if m1 & m2:
+                            continue
+                        flip = signs.get((m1, m2))
+                        if flip is None:
+                            # each generator of m2 moves left past the larger
+                            # generators of m1
+                            swaps, rest = 0, m2
+                            while rest:
+                                low = rest & -rest
+                                swaps += (m1 & -(low << 1)).bit_count()
+                                rest ^= low
+                            flip = signs[(m1, m2)] = swaps & 1
+                        re = r1 * r2 - i1 * i2
+                        im = r1 * i2 + i1 * r2
+                        if flip:
+                            re, im = -re, -im
+                        key = (m1 | m2, _mul_even(e1, e2) if e1 and e2 else e1 or e2)
+                        old = acc.get(key)
+                        acc[key] = (re + old[0], im + old[1]) if old else (re, im)
+            row.append({key: c for key, c in acc.items() if c[0] or c[1]})
         out.append(tuple(row))
     return tuple(out)
 
@@ -258,7 +299,9 @@ def fredholm_log_det(curvature: CurvatureLike, bc: BoundaryCondition):
     for k in range(1, curvature.max_relevant_k() + 1):
         scaled = curvature.scaled_trace(k)
         if scaled.is_zero():
-            break
+            # a zero trace does not end the sum: Tr(R^2) can vanish while
+            # Tr(R^4) does not; past the first zero power the traces are free
+            continue
         tau = trace_inv_power(bc, 2 * k)
         # (i r)^{2k} Tr(R^{2k}) carries r^{+2k}; tau's rational part carries the
         # matching r^{-2k} once the mode trace 2 r^{2k} Z_k is divided by r^{2k}

@@ -8,12 +8,10 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from supersdet import cli
 from supersdet import linearization as lin
 from supersdet import manifolds as mf
-from supersdet import sections as sec
 from supersdet import series as cs
 from supersdet import verify as vf
 from supersdet import zeta as zs

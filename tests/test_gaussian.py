@@ -68,3 +68,19 @@ def test_product_matches_the_formula(a, b):
             assert repr(p) == str(p.re)
             if p.re.denominator == 1:
                 assert p == int(p.re) and hash(p) == hash(int(p.re))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(operands, st.one_of(operands, st.integers(-3, 3), rationals))
+def test_sums_and_negation_keep_fraction_parts(a, b):
+    c = GaussianRational.coerce(b)
+    cases = [(a + b, a.re + c.re, a.im + c.im), (b + a, a.re + c.re, a.im + c.im),
+             (a - b, a.re - c.re, a.im - c.im), (b - a, c.re - a.re, c.im - a.im),
+             (-a, -a.re, -a.im)]
+    for value, re, im in cases:
+        assert type(value.re) is Fraction and type(value.im) is Fraction
+        # the same value as one built through __init__, in every respect
+        expected = GaussianRational(re, im)
+        assert value == expected and expected == value
+        assert hash(value) == hash(expected)
+        assert repr(value) == repr(expected)

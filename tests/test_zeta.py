@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from supersdet import series as cs
 from supersdet import zeta as zs
+from supersdet.gaussian import GaussianRational
 from supersdet.grassmann import GrassmannElement, even, odd, scalar
 from supersdet.zeta import BoundaryCondition as BC
 
@@ -200,6 +201,30 @@ def test_concrete_equals_formal_under_substitution():
     assert not (concrete - scalar(1)).is_zero()
 
 
+def _four_cycle():
+    """A 4-cycle of generator pairs: every entry squares to zero, so Tr(R^2)
+    vanishes while Tr(R^4) = 8 psi0...psi7 does not."""
+    psi = [odd(f"psi{a}") for a in range(8)]
+    rows = [[scalar(0)] * 4 for _ in range(4)]
+    for i, a in enumerate(range(0, 8, 2)):
+        j = (i + 1) % 4
+        rows[i][j], rows[j][i] = psi[a] * psi[a + 1], -psi[a] * psi[a + 1]
+    return rows
+
+
+def test_concrete_sum_continues_past_a_zero_trace():
+    matrix = zs.CurvatureMatrix(_four_cycle())
+    assert matrix.matrix_power_trace(2).is_zero()
+    assert not matrix.matrix_power_trace(4).is_zero()
+    top = scalar(1)
+    for a in range(8):
+        top = top * odd(f"psi{a}")
+    expected = 1 - Fraction(7, 360) * top * even("r", 4)
+    assert zs.sdet_concrete(matrix) == expected
+    phs = [zs.curvature_to_ph(matrix, k) for k in range(1, 5)]
+    assert zs.substitute_ph(zs.sdet_formal(4, 4), phs) == expected
+
+
 def test_concrete_pp_sector():
     matrix = zs.demo_curvature()
     assert (zs.sdet_concrete(matrix, pp=True) - scalar(1)).is_zero()
@@ -251,26 +276,34 @@ def test_formal_log_pf_antiperiodic_exponent():
 # shared matrix powers, against powers built here
 # ---------------------------------------------------------------------------
 
+# Q(i) coefficients, some with denominators, and optional even factors
+_COEFFICIENTS = [-3, -2, -1, 1, 2, 3, Fraction(1, 2), GaussianRational(0, Fraction(1, 3)),
+                 GaussianRational(1, Fraction(2, 3)), GaussianRational(Fraction(1, 3), Fraction(2, 3))]
+_EVEN_FACTORS = [scalar(1), even("x"), even("x", 2), even("y", -1)]
+
+
 @st.composite
 def curvatures(draw):
-    """An antisymmetric n x n matrix (n <= 5) over g <= 8 odd generators whose
-    entries are sums of c psi_a psi_b, and a shuffled list of the orders
-    1..g+2."""
+    """An antisymmetric n x n matrix (n <= 5) over g <= 12 odd generators
+    whose entries are sums of c e psi_a psi_b (c in Q(i), e an even monomial
+    or 1), and a shuffled list of the orders 1..g+2.  Past ten generators the
+    name order (psi10 < psi2) differs from the index order."""
     n = draw(st.integers(1, 5))
-    g = draw(st.integers(2, 8))
+    g = draw(st.integers(2, 12))
     psi = [odd(f"psi{a}") for a in range(g)]
     # entries over one fixed pairing of the generators commute, so that high
     # powers survive; entries over arbitrary pairs do not
     pairing = [(a, a + 1) for a in range(0, g - 1, 2)]
     pairs = st.sampled_from(pairing) if draw(st.booleans()) else \
         st.tuples(st.integers(0, g - 1), st.integers(0, g - 1)).filter(lambda p: p[0] != p[1])
+    factors = st.sampled_from(_EVEN_FACTORS if draw(st.booleans()) else [scalar(1)])
     rows = [[scalar(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             entry = scalar(0)
-            terms = st.tuples(pairs, st.integers(-3, 3).filter(bool))
-            for (a, b), c in draw(st.lists(terms, min_size=1, max_size=4)):
-                entry = entry + c * psi[a] * psi[b]
+            terms = st.tuples(pairs, st.sampled_from(_COEFFICIENTS), factors)
+            for (a, b), c, e in draw(st.lists(terms, min_size=1, max_size=4)):
+                entry = entry + c * e * psi[a] * psi[b]
             rows[i][j], rows[j][i] = entry, -entry
     orders = draw(st.permutations(range(1, g + 3)))
     return rows, g, orders
@@ -285,6 +318,7 @@ def _four_pair_block():
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(curvatures())
 @example(_four_pair_block())
+@example((_four_cycle(), 8, list(range(1, 11))))
 def test_matrix_power_trace_matches_repeated_products(case):
     rows, g, orders = case
     n = len(rows)
@@ -299,3 +333,7 @@ def test_matrix_power_trace_matches_repeated_products(case):
         assert trace == traces[m - 1]
         if 2 * m > g:
             assert trace.is_zero()
+    # the concrete pipeline against the formal route at the same ph values
+    K = matrix.max_relevant_k()
+    phs = [zs.curvature_to_ph(matrix, k) for k in range(1, K + 1)]
+    assert zs.sdet_concrete(matrix) == zs.substitute_ph(zs.sdet_formal(n, K), phs)
