@@ -17,7 +17,6 @@ from .series import (
     l_polynomials,
     l_series,
     multiplicative_sequence,
-    verify_exponential_forms,
     zeta_even,
 )
 from .superspace import (

@@ -115,14 +115,6 @@ class GrassmannElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "GrassmannElement":
-        if n < 0:
-            raise ValueError("negative powers: use invert helpers")
-        out = GrassmannElement.scalar(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational, GrassmannElement)):
             return (self - other).is_zero()
@@ -135,6 +127,9 @@ class GrassmannElement:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def parity(self) -> Optional[int]:
         """0 for even, 1 for odd, None for mixed or zero-ambiguous elements.
@@ -232,7 +227,19 @@ class GrassmannElement:
             terms.accumulate(out, (rest, even), coeff * sign)
         return GrassmannElement._of(out)
 
-    # -- inverses -------------------------------------------------------------
+    # -- inverses and exponentials ---------------------------------------------
+
+    def _graded_series(self, first: "GrassmannElement", coefficient) -> "GrassmannElement":
+        """Sum terms.graded_series over the pieces of self by odd-generator
+        count.  The pieces are padded to the number of odd generators, not to
+        the top count present: (1 + ab + cd)^{-1} has an abcd term."""
+        parts = [{} for _ in range(len(self.odd_generators()) + 1)]
+        for key, c in self.terms.items():
+            parts[len(key[0])][key] = c
+        pieces = terms.graded_series([GrassmannElement._of(p) for p in parts],
+                                     first, coefficient)
+        # piece w holds w odd generators, so the pieces share no key
+        return GrassmannElement._of({k: c for piece in pieces for k, c in piece.terms.items()})
 
     def invert_unit(self) -> "GrassmannElement":
         """Inverse of c*m*(1 + n) with c a nonzero scalar, m an even monomial
@@ -245,13 +252,17 @@ class GrassmannElement:
         if len(body_terms) != 1:
             raise ValueError("invert_unit needs a single body monomial")
         (odd0, even0), c0 = body_terms[0]
-        lead_inv = GrassmannElement(
-            {((), tuple((n, -e) for n, e in even0)): GaussianRational(1) / c0}
-        )
-        rest = (self * lead_inv) - 1
-        # rest is nilpotent: the geometric series terminates
-        return lead_inv * terms.nilpotent_series(rest, GrassmannElement.scalar(1),
-                                                 lambda j: (-1) ** j, 64)
+        first = GrassmannElement._of(
+            {((), tuple((n, -e) for n, e in even0)): GaussianRational(1) / c0})
+        minus_first = -first
+        return self._graded_series(first, lambda j, w: minus_first)
+
+    def exp(self) -> "GrassmannElement":
+        """Exponential of an even element without body, which is nilpotent
+        and commutes with everything."""
+        if self.parity() != 0 or any(not odd for odd, _even in self.terms):
+            raise ValueError("exp needs an even element without body")
+        return self._graded_series(GrassmannElement.scalar(1), terms.exp_coefficient)
 
     # -- rendering -------------------------------------------------------------
 

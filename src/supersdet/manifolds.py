@@ -364,7 +364,7 @@ def load_manifold(document: dict) -> ManifoldLike:
             raise ManifoldParseError(f"document.{key}: missing")
     name = document["name"]
     dimension = document["dimension"]
-    if not isinstance(dimension, int):
+    if not _is_integer(dimension):
         raise ManifoldParseError("document.dimension: expected an integer")
     kind = document["kind"]
     signature = _coerce_number(document["signature"], "document.signature")
@@ -396,7 +396,7 @@ def load_manifold(document: dict) -> ManifoldLike:
             raise ManifoldParseError(f"document.basis[{i}]: expected {{name, degree}}")
         if not isinstance(entry["name"], str):
             raise ManifoldParseError(f"document.basis[{i}].name: expected a string")
-        if not isinstance(entry["degree"], int):
+        if not _is_integer(entry["degree"]):
             raise ManifoldParseError(f"document.basis[{i}].degree: expected an integer")
         basis.append((entry["name"], entry["degree"]))
 

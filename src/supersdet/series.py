@@ -55,22 +55,8 @@ class PiValue:
     coefficient: Fraction
     pi_power: int
 
-    def __mul__(self, other):
-        if isinstance(other, PiValue):
-            return PiValue(self.coefficient * other.coefficient,
-                           self.pi_power + other.pi_power)
+    def __rmul__(self, other) -> "PiValue":
         return PiValue(self.coefficient * Fraction(other), self.pi_power)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "PiValue"):
-        return PiValue(self.coefficient / other.coefficient,
-                       self.pi_power - other.pi_power)
-
-    def __str__(self) -> str:
-        if self.pi_power == 0:
-            return str(self.coefficient)
-        return f"{self.coefficient}*pi^{self.pi_power}"
 
 
 def zeta_even(two_k: int) -> PiValue:
@@ -131,24 +117,10 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {k} beyond truncation {self.order}")
         return self.coeffs[k]
 
-    def _common(self, other: "TruncatedSeries") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common(other)
-        return TruncatedSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common(other)
-        return TruncatedSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self.coeffs])
-        n = self._common(other)
+        n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if not a:
@@ -161,25 +133,12 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = self._common(other)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; needs a nonzero constant term."""
         if self.coeffs[0] == 0:
             raise ValueError("no inverse: zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / self.coeffs[0]
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc / self.coeffs[0]
-        return TruncatedSeries(out)
+        first = 1 / self.coeffs[0]
+        return TruncatedSeries(terms.graded_series(self.coeffs, first, lambda j, w: -first))
 
     def log(self) -> "TruncatedSeries":
         """Logarithm of a series with constant term 1, via f'/f integration."""
@@ -202,18 +161,7 @@ class TruncatedSeries:
         """Exponential of a series with zero constant term."""
         if self.coeffs[0] != 0:
             raise ValueError("exp needs zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        # e'(x) = f'(x) e(x)
-        deriv = [self.coeffs[k] * k for k in range(1, n + 1)]
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(k):
-                if i < len(deriv):
-                    acc += deriv[i] * out[k - 1 - i]
-            out[k] = acc / k
-        return TruncatedSeries(out)
+        return TruncatedSeries(terms.graded_series(self.coeffs, Fraction(1), terms.exp_coefficient))
 
     def rescale_root(self, c: Fraction) -> "TruncatedSeries":
         """Substitute x -> c x."""
@@ -222,10 +170,6 @@ class TruncatedSeries:
 
     def is_even(self) -> bool:
         return all(c == 0 for k, c in enumerate(self.coeffs) if k % 2 == 1)
-
-    def __str__(self) -> str:
-        bits = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c]
-        return " + ".join(bits) if bits else "0"
 
 
 def series_sinh_half(order: int) -> TruncatedSeries:
@@ -265,66 +209,6 @@ def l_series_doubled_root(order: int) -> TruncatedSeries:
     normalization under which evaluation on Pontryagin numbers gives the
     signature."""
     return l_series(order).rescale_root(Fraction(2))
-
-
-@dataclass
-class ExponentialFormsReport:
-    """Outcome of checking the exponential product identities to a given order."""
-
-    order: int
-    sinh_ok: bool
-    sinh_first_mismatch: Optional[int]
-    cosh_half_ok: bool
-    cosh_half_first_mismatch: Optional[int]
-    cosh_full_first_mismatch: Optional[int]
-
-    @property
-    def passed(self) -> bool:
-        return self.sinh_ok and self.cosh_half_ok
-
-
-def _first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> Optional[int]:
-    for k in range(min(a.order, b.order) + 1):
-        if a.coefficient(k) != b.coefficient(k):
-            return k
-    return None
-
-
-def verify_exponential_forms(order: int) -> ExponentialFormsReport:
-    """Check, to the given order, that
-
-        sinh(x/2)/(x/2) = exp(-sum_k x^{2k} * 2 zeta(2k) / (2k (2 pi i)^{2k}))
-        cosh(x/2)       = exp(-sum_k x^{2k} * 2 lambda(2k) / (2k (2 pi i)^{2k}))
-
-    where lambda(2k) is the half-integer mode sum, and additionally record
-    where the cosh(x) candidate fails (it does, at x^2): the identity holds
-    for the half-argument reading only.
-    """
-    def exponent(weights: Callable[[int], Fraction]) -> TruncatedSeries:
-        coeffs = [Fraction(0)] * (order + 1)
-        for two_k in range(2, order + 1, 2):
-            coeffs[two_k] = -Fraction(2, two_k) * weights(two_k)
-        return TruncatedSeries(coeffs)
-
-    sinh_candidate = exponent(zeta_over_2pii).exp()
-    cosh_candidate = exponent(lambda_over_2pii).exp()
-
-    sinh_target = series_sinh_half(order)
-    cosh_half_target = series_cosh_half(order)
-    cosh_full_target = series_cosh(order)
-
-    m_sinh = _first_mismatch(sinh_candidate, sinh_target)
-    m_cosh_half = _first_mismatch(cosh_candidate, cosh_half_target)
-    m_cosh_full = _first_mismatch(cosh_candidate, cosh_full_target)
-
-    return ExponentialFormsReport(
-        order=order,
-        sinh_ok=m_sinh is None,
-        sinh_first_mismatch=m_sinh,
-        cosh_half_ok=m_cosh_half is None,
-        cosh_half_first_mismatch=m_cosh_half,
-        cosh_full_first_mismatch=m_cosh_full,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +313,9 @@ class GradedPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def weight_component(self, w: int) -> "GradedPolynomial":
         return GradedPolynomial._of(self.nvars, self.basis,
                                     {e: c for e, c in self.coeffs.items()
@@ -438,12 +325,19 @@ class GradedPolynomial:
         return self.coeffs.get(tuple([0] * self.nvars), Fraction(0))
 
     def exp(self) -> "GradedPolynomial":
-        """Exponential of a polynomial with zero constant term; the grading
-        truncation makes the series finite."""
+        """Exponential of a polynomial with zero constant term, weight by
+        weight through the grading recurrence of terms.graded_series: the
+        pieces are the weight components, whose products never truncate."""
         if self.constant_term() != 0:
             raise ValueError("exp needs zero constant term")
-        return terms.exp_nilpotent(self, GradedPolynomial.one(self.nvars, self.basis),
-                                   self.nvars)
+        parts = [{} for _ in range(self.nvars + 1)]
+        for e, c in self.coeffs.items():
+            parts[self.weight_of(e)][e] = c
+        pieces = terms.graded_series(
+            [GradedPolynomial._of(self.nvars, self.basis, p) for p in parts],
+            GradedPolynomial.one(self.nvars, self.basis), terms.exp_coefficient)
+        return GradedPolynomial._of(self.nvars, self.basis,
+                                    {e: c for piece in pieces for e, c in piece.coeffs.items()})
 
     def substitute(self, images: Sequence["GradedPolynomial"]) -> "GradedPolynomial":
         """Replace generator g_i by images[i-1]; images share one context,

@@ -6,14 +6,14 @@ elements) is a dict from a monomial key to an exact coefficient, a
 Fraction or a GaussianRational.  The functions here build such dicts and
 never store a zero coefficient, so every dict they return is clean.  What
 a key means, and how two keys multiply, stays with the algebra that owns
-it.
+it.  The grading recurrence at the end sums every exponential and every
+unit inverse, over whatever grading its caller cuts the element into.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 Terms = Dict[Hashable, object]
 Combine = Callable[[object, object], Optional[Tuple[Hashable, int]]]
@@ -96,19 +96,35 @@ def merge_signed(a: tuple, b: tuple) -> Optional[Tuple[tuple, int]]:
     return tuple(out), sign
 
 
-def nilpotent_series(x, one, coefficient: Callable[[int], object], limit: int):
-    """sum_j coefficient(j) x^j for a nilpotent ring element x (anything with
-    *, + and is_zero), summed until the power vanishes.  Raises ValueError
-    when x^(limit + 1) is still nonzero."""
-    acc = power = one
-    for j in range(1, limit + 2):
-        power = power * x
-        if power.is_zero():
-            return acc
-        acc = acc + power * coefficient(j)
-    raise ValueError("series argument is not nilpotent")
+def graded_series(parts: Sequence, first, coefficient: Callable[[int, int], object]) -> list:
+    """F_0..F_n, n = len(parts) - 1, of the grading recurrence
+
+        F_0 = first,   F_w = sum_{j=1..w} coefficient(j, w) * parts[j] * F_{w-j},
+
+    where parts[j] is the grade-j piece of an element x.  It sums every
+    exponential and every unit inverse in the package (Brent and Kung,
+    J. ACM 25, 1978; Knuth, TAOCP vol. 2, 4.7):
+
+    - first = 1 and coefficient j/w (exp_coefficient) give the pieces of
+      exp(x), for x without a grade-0 piece that commutes with its pieces:
+      the Euler derivation turns e' = x'e into w F_w = sum_j j x_j F_{w-j};
+    - first = 1/parts[0] and coefficient -first give the pieces of 1/x, for
+      a central parts[0].
+
+    A product with a zero (falsy) factor is skipped.  Nothing above grade n
+    is computed: the caller pads parts to the top grade the result can
+    reach."""
+    zero = first - first
+    out = [first]
+    for w in range(1, len(parts)):
+        acc = zero
+        for j in range(1, w + 1):
+            if parts[j] and out[w - j]:
+                acc = acc + coefficient(j, w) * parts[j] * out[w - j]
+        out.append(acc)
+    return out
 
 
-def exp_nilpotent(x, one, limit: int):
-    """exp(x) = sum_j x^j / j!, as a nilpotent series."""
-    return nilpotent_series(x, one, lambda j: Fraction(1, math.factorial(j)), limit)
+def exp_coefficient(j: int, w: int) -> Fraction:
+    """The coefficient j/w under which graded_series sums an exponential."""
+    return Fraction(j, w)

@@ -27,7 +27,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from . import terms
 from .gaussian import GaussianRational, I
 from .grassmann import GrassmannElement, _mul_even, even, scalar
 from .series import (
@@ -368,9 +367,7 @@ def sdet(ops: Tuple[KineticOperator, KineticOperator, KineticOperator]
 
     if log_total is None:
         return scalar(1)
-    if isinstance(log_total, GradedPolynomial):
-        return log_total.exp()
-    return terms.exp_nilpotent(log_total, scalar(1), 64)
+    return log_total.exp()
 
 
 def sdet_formal(n: int, K: int, pp: bool = False) -> GradedPolynomial:

@@ -101,9 +101,11 @@ def test_criterion_3_kernel_characterization():
 
 def test_criterion_4_series_identities():
     with _Criterion(4, "series identities, exact and numeric to 1e-12", 5.0):
-        report = cs.verify_exponential_forms(8)
-        assert report.sinh_ok and report.cosh_half_ok
-        assert report.cosh_full_first_mismatch == 2
+        sinh_candidate, cosh_candidate = vf._exponential_candidates(8)
+        assert sinh_candidate.coeffs == cs.series_sinh_half(8).coeffs
+        assert cosh_candidate.coeffs == cs.series_cosh_half(8).coeffs
+        assert cosh_candidate.coefficient(2) != cs.series_cosh(8).coefficient(2)
+        assert cosh_candidate.coeffs[:2] == cs.series_cosh(8).coeffs[:2]
 
         log_l = cs.l_series(8).log()
         for k in range(1, 5):

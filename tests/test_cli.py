@@ -107,8 +107,12 @@ def _cp2_with(change):
     (_cp2_with(lambda d: d["products"][0].update(left=["h"])), ["lgenus"]),
     (_cp2_with(lambda d: d["products"][0]["result"][0].update(basis=["h2"])), ["lgenus"]),
     (None, ["pushforward", "--manifold", "builtin:cp2", "--class", "1/0*h"]),
+    ({"name": "bogus", "dimension": False, "kind": "pontryagin_numbers", "signature": 1,
+      "pontryagin_numbers": {}}, ["lgenus"]),
+    (_cp2_with(lambda d: d["basis"][0].update(degree=False)), ["lgenus"]),
 ], ids=["den-zero", "num-string", "num-bool", "classes-list", "basis-name-list",
-        "products-int", "product-left-list", "result-basis-list", "class-den-zero"])
+        "products-int", "product-left-list", "result-basis-list", "class-den-zero",
+        "dimension-bool", "basis-degree-bool"])
 def test_malformed_manifold_input_is_a_usage_error(capsys, tmp_path, document, argv):
     if document is not None:
         path = tmp_path / "m.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from supersdet import series as cs
+from supersdet import verify as vf
 from supersdet.series import GradedPolynomial, TruncatedSeries
 
 
@@ -83,13 +84,14 @@ def test_log_l_series_two_routes():
 
 
 def test_exponential_forms_report():
-    report = cs.verify_exponential_forms(8)
-    assert report.passed
-    assert report.sinh_first_mismatch is None
-    assert report.cosh_half_first_mismatch is None
-    assert report.cosh_full_first_mismatch == 2
-    vacuous = cs.verify_exponential_forms(0)
-    assert vacuous.passed
+    sinh_candidate, cosh_candidate = vf._exponential_candidates(8)
+    assert sinh_candidate.coeffs == cs.series_sinh_half(8).coeffs
+    assert cosh_candidate.coeffs == cs.series_cosh_half(8).coeffs
+    cosh_full = cs.series_cosh(8).coeffs
+    assert [k for k in range(9) if cosh_candidate.coeffs[k] != cosh_full[k]][0] == 2
+    vacuous = vf._exponential_candidates(0)
+    assert [c.coeffs for c in vacuous] == [(1,), (1,)]
+    assert "fails at x^2" in vf._check_exponential_forms()
 
 
 def test_l_polynomials_frozen_values():
@@ -155,6 +157,7 @@ def test_graded_polynomial_truncation_and_exp():
     p1 = GradedPolynomial.generator(1, K, "p")
     p3 = GradedPolynomial.generator(3, K, "p")
     assert (p1 * p3).is_zero()  # weight 4 > 3 truncates
+    assert p1 and not p1 * p3
     e = (Fraction(1, 3) * p1).exp()
     assert e.weight_component(0) == GradedPolynomial.one(K, "p")
     assert e.weight_component(1) == Fraction(1, 3) * p1
@@ -172,3 +175,14 @@ def test_power_sums_in_elementary():
     assert cs.power_sum_in_elementary(1, K) == p1
     assert cs.power_sum_in_elementary(2, K) == p1 * p1 - 2 * p2
     assert cs.power_sum_in_elementary(3, K) == p1 * p1 * p1 - 3 * p1 * p2 + 3 * p3
+
+
+def test_l_polynomial_p_k_coefficient_closed_form():
+    # Hirzebruch's closed form, independent of the exp and Newton code
+    # (Milnor-Stasheff, Characteristic Classes, 19)
+    K = 16
+    for k, L_k in enumerate(cs.l_polynomials(K), start=1):
+        p_k = tuple(1 if i == k - 1 else 0 for i in range(K))
+        expected = Fraction(2) ** (2 * k) * (2 ** (2 * k - 1) - 1) * abs(cs.bernoulli(2 * k)) \
+            / math.factorial(2 * k)
+        assert L_k.coeffs[p_k] == expected, k

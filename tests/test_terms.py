@@ -1,14 +1,17 @@
 """Property tests of the sparse term core and of the exterior algebras built
 on it, at random sizes the fixed tests do not reach."""
 
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from supersdet import terms
 from supersdet.gaussian import GaussianRational
 from supersdet.grassmann import GrassmannElement
 from supersdet.sections import monomial
+from supersdet.series import GradedPolynomial, TruncatedSeries
 
 CORE = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -123,6 +126,7 @@ def test_core_never_stores_zero(a, b, c):
 def test_grassmann_results_hold_no_zero(x, y):
     for z in (x + y, x - x, x * y, -x, x * Fraction(0), x.derivative_odd("a")):
         assert no_zero(z.terms)
+        assert bool(z) is not z.is_zero()
 
 
 @CORE
@@ -131,3 +135,98 @@ def test_invert_unit_is_an_inverse(c, e, soul):
     unit = GrassmannElement({((), (("r", e),) if e else ()): c})
     x = unit + GrassmannElement({k: v for k, v in soul.items() if k[0]})
     assert x * x.invert_unit() == 1
+
+
+def power_sum(x, one, coefficient):
+    """sum_j coefficient(j) x^j for a nilpotent x, summed until the power
+    vanishes: the power loop the grading recurrence replaced, kept as the
+    reference."""
+    acc = power = one
+    j = 0
+    while True:
+        j += 1
+        power = power * x
+        if power.is_zero():
+            return acc
+        acc = acc + power * coefficient(j)
+
+
+def power_sum_exp(x, one):
+    return power_sum(x, one, lambda j: Fraction(1, math.factorial(j)))
+
+
+def graded_polynomials(K):
+    """Random p-basis polynomials without constant term: each monomial is a
+    product of one to three generators, and the weight truncation drops the
+    ones above K."""
+    def vector(indices):
+        exps = [0] * K
+        for i in indices:
+            exps[i - 1] += 1
+        return tuple(exps)
+    monomials = st.lists(st.integers(1, K), min_size=1, max_size=3).map(vector)
+    return st.dictionaries(monomials, st.fractions(max_denominator=4).filter(bool),
+                           max_size=4).map(lambda d: GradedPolynomial(K, "p", d))
+
+
+def even_souls(names=("a", "b", "c", "d", "e", "f")):
+    """Even Grassmann elements without body, over six generators."""
+    odd = sorted_subset(names, (2, 4))
+    even = st.sampled_from(((), (("r", 1),), (("r", -2),)))
+    return st.dictionaries(st.tuples(odd, even), coeffs, max_size=4).map(GrassmannElement)
+
+
+@CORE
+@given(st.integers(1, 8).flatmap(lambda K: st.tuples(graded_polynomials(K), graded_polynomials(K))))
+def test_graded_polynomial_exp_is_a_homomorphism(pair):
+    a, b = pair
+    one = GradedPolynomial.one(a.nvars, "p")
+    assert (a + b).exp() == a.exp() * b.exp()
+    assert a.exp() == power_sum_exp(a, one)
+
+
+@CORE
+@given(even_souls(), even_souls())
+def test_grassmann_exp_is_a_homomorphism(a, b):
+    one = GrassmannElement.scalar(1)
+    assert (a + b).exp() == a.exp() * b.exp()
+    assert a.exp() == power_sum_exp(a, one)
+
+
+@CORE
+@given(grassmann(1).filter(bool), even_souls(), coeffs)
+def test_grassmann_exp_rejects_odd_and_bodied_input(odd_part, soul, c):
+    with pytest.raises(ValueError):
+        (odd_part + soul).exp()
+    with pytest.raises(ValueError):
+        (soul + c).exp()
+
+
+@CORE
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.fractions(max_denominator=5), min_size=n + 1, max_size=n + 1)))
+def test_truncated_series_inverse_exp_log_round_trip(coeffs):
+    n = len(coeffs) - 1
+    unit = TruncatedSeries([Fraction(1)] + coeffs[1:])
+    soul = TruncatedSeries([Fraction(0)] + coeffs[1:])
+    identity = (Fraction(1),) + (Fraction(0),) * n
+    assert unit.log().exp().coeffs == unit.coeffs
+    assert soul.exp().log().coeffs == soul.coeffs
+    assert (unit * unit.inverse()).coeffs == identity
+    if coeffs[0]:
+        scaled = unit * coeffs[0]
+        assert (scaled.inverse() * scaled).coeffs == identity
+
+
+@CORE
+@given(st.lists(st.tuples(sorted_subset("abcdef", (2,)), coeffs), min_size=1, max_size=5))
+@example([(("a", "b"), GaussianRational(1)), (("c", "d"), GaussianRational(1))])
+def test_invert_unit_soul_reaches_odd_count_four(pieces):
+    # a soul of pair terms only: (1 + s)^{-1} = 1 - s + s^2 - ..., whose
+    # count-4 piece is s^2 although no input term has four generators
+    soul = GrassmannElement({(odd, ()): c for odd, c in pieces})
+    inverse = (1 + soul).invert_unit()
+    assert inverse == power_sum(soul, GrassmannElement.scalar(1), lambda j: (-1) ** j)
+    assert (1 + soul) * inverse == 1
+    top = GrassmannElement({k: c for k, c in inverse.terms.items() if len(k[0]) == 4})
+    assert top == soul * soul
