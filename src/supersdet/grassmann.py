@@ -4,29 +4,62 @@ An element is a finite sum of terms
 
     coefficient * (ordered product of odd generators) * (monomial in even variables)
 
-with coefficients in Q(i).  Odd generators anticommute and square to zero;
-they are kept as tuples sorted in the global name order, with the sign of the
-sorting permutation absorbed into the coefficient.  Even variables commute
-with everything and may carry negative exponents (used for the invertible
-radius symbol ``r``) and half-integer Fraction exponents (the radial powers
-r^{k/2} of sections).
+with coefficients in Q(i).  Odd generators anticommute and square to zero.
+An append-only table shared by the whole process gives each generator name a
+bit, in the order the names are first seen; an odd monomial is a bitmask,
+the product of its generators in increasing bit order, and sign() is the
+one rule for the sign of every reordering.  Rendering lists the generators
+in name order, with the sign of that permutation moved into the coefficient,
+so no output depends on the order in which names were seen.  Even variables
+commute with everything and may carry negative exponents (used for the
+invertible radius symbol ``r``) and half-integer Fraction exponents (the
+radial powers r^{k/2} of sections).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import terms
 from .gaussian import GaussianRational, ScalarLike
 
-OddMono = Tuple[str, ...]
 EvenMono = Tuple[Tuple[str, int], ...]
-TermKey = Tuple[OddMono, EvenMono]
+TermKey = Tuple[int, EvenMono]  # (odd bitmask, even monomial)
 
 Coercible = Union[int, Fraction, GaussianRational, "GrassmannElement"]
 
 _EMPTY: EvenMono = ()
+
+# append-only, so a key keeps its meaning for the life of the process
+_BIT: Dict[str, int] = {}
+_NAMES: List[str] = []
+
+
+def bit(name: str) -> int:
+    """The mask bit of an odd generator, assigned when the name is first seen."""
+    b = _BIT.get(name)
+    if b is None:
+        b = _BIT[name] = 1 << len(_NAMES)
+        _NAMES.append(name)
+    return b
+
+
+def names(mask: int) -> List[str]:
+    """The generators of a mask, in bit order."""
+    return [_NAMES[i] for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def sign(m1: int, m2: int) -> int:
+    """The sign in m1 * m2 = sign * (m1 | m2) for disjoint masks: -1 when
+    an odd number of pairs has its bit of m1 above its bit of m2."""
+    swaps = 0
+    while m2:
+        low = m2 & -m2
+        # the generator low moves left past the larger generators of m1
+        swaps += (m1 & -(low << 1)).bit_count()
+        m2 ^= low
+    return -1 if swaps & 1 else 1
 
 
 def _mul_even(a: EvenMono, b: EvenMono) -> EvenMono:
@@ -45,10 +78,9 @@ def _mul_even(a: EvenMono, b: EvenMono) -> EvenMono:
 
 
 def _combine(a: TermKey, b: TermKey) -> Optional[Tuple[TermKey, int]]:
-    merged = terms.merge_signed(a[0], b[0])
-    if merged is None:
+    if a[0] & b[0]:
         return None
-    return (merged[0], _mul_even(a[1], b[1])), merged[1]
+    return (a[0] | b[0], _mul_even(a[1], b[1])), sign(a[0], b[0])
 
 
 class GrassmannElement:
@@ -73,17 +105,17 @@ class GrassmannElement:
         c = GaussianRational.coerce(value)
         if not c:
             return GrassmannElement()
-        return GrassmannElement({((), _EMPTY): c})
+        return GrassmannElement({(0, _EMPTY): c})
 
     @staticmethod
     def odd(name: str) -> "GrassmannElement":
-        return GrassmannElement({((name,), _EMPTY): GaussianRational(1)})
+        return GrassmannElement({(bit(name), _EMPTY): GaussianRational(1)})
 
     @staticmethod
     def even(name: str, exponent: int = 1) -> "GrassmannElement":
         if exponent == 0:
             return GrassmannElement.scalar(1)
-        return GrassmannElement({((), ((name, exponent),)): GaussianRational(1)})
+        return GrassmannElement({(0, ((name, exponent),)): GaussianRational(1)})
 
     @staticmethod
     def coerce(value: Coercible) -> "GrassmannElement":
@@ -138,7 +170,7 @@ class GrassmannElement:
         """
         if not self.terms:
             return 0
-        parities = {len(odd) % 2 for (odd, _even) in self.terms}
+        parities = {mask.bit_count() % 2 for (mask, _even) in self.terms}
         if len(parities) == 1:
             return parities.pop()
         return None
@@ -150,10 +182,10 @@ class GrassmannElement:
         )
 
     def odd_generators(self) -> set:
-        names = set()
-        for odd, _even in self.terms:
-            names.update(odd)
-        return names
+        union = 0
+        for mask, _even in self.terms:
+            union |= mask
+        return set(names(union))
 
     def even_variables(self) -> set:
         names = set()
@@ -165,14 +197,11 @@ class GrassmannElement:
 
     def derivative_odd(self, name: str) -> "GrassmannElement":
         """Left derivative with respect to an odd generator (odd derivation)."""
-        out: Dict[TermKey, GaussianRational] = {}
-        for (odd, even), coeff in self.terms.items():
-            if name not in odd:
-                continue
-            pos = odd.index(name)
-            rest = odd[:pos] + odd[pos + 1:]
-            terms.accumulate(out, (rest, even), coeff if pos % 2 == 0 else -coeff)
-        return GrassmannElement._of(out)
+        b = _BIT.get(name, 0)
+        # name * rest = sign(b, rest) * mask, and the keys rest stay distinct
+        return GrassmannElement._of({(mask ^ b, even): coeff * sign(b, mask ^ b)
+                                     for (mask, even), coeff in self.terms.items()
+                                     if mask & b})
 
     def derive_even(self, images: Mapping[str, "GrassmannElement"]) -> "GrassmannElement":
         """Apply the even derivation sending each named generator/variable to
@@ -182,7 +211,7 @@ class GrassmannElement:
         without an image are treated as constants.
         """
         acc = GrassmannElement()
-        for (odd, even), coeff in self.terms.items():
+        for (mask, even), coeff in self.terms.items():
             # even-variable slots
             for idx, (name, exp) in enumerate(even):
                 image = images.get(name)
@@ -190,15 +219,19 @@ class GrassmannElement:
                     continue
                 lowered = even[:idx] + ((name, exp - 1),) + even[idx + 1:]
                 lowered = tuple((n, e) for n, e in lowered if e != 0)
-                piece = GrassmannElement({(odd, tuple(sorted(lowered))): coeff * exp})
+                piece = GrassmannElement({(mask, tuple(sorted(lowered))): coeff * exp})
                 acc = acc + piece * image
-            # odd-generator slots: replace in place, multiplication restores order
-            for pos, gname in enumerate(odd):
-                image = images.get(gname)
+            # odd-generator slots, in bit order: replace in place, and
+            # multiplication restores the order
+            rest = mask
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                image = images.get(_NAMES[b.bit_length() - 1])
                 if image is None:
                     continue
-                left = GrassmannElement({(odd[:pos], even): coeff})
-                right = GrassmannElement({(odd[pos + 1:], _EMPTY): GaussianRational(1)})
+                left = GrassmannElement({(mask & (b - 1), even): coeff})
+                right = GrassmannElement({(rest, _EMPTY): GaussianRational(1)})
                 acc = acc + left * image * right
         return acc
 
@@ -209,7 +242,8 @@ class GrassmannElement:
             raise ValueError(f"substitution for odd generator {name!r} must be odd")
         # a term holding the generator is moved to the front, which is the left
         # derivative, and the generator is then replaced by value
-        kept = GrassmannElement._of({k: c for k, c in self.terms.items() if name not in k[0]})
+        b = _BIT.get(name, 0)
+        kept = GrassmannElement._of({k: c for k, c in self.terms.items() if not k[0] & b})
         return kept + value * self.derivative_odd(name)
 
     def coefficient_of_odd_pair(self, first: str, second: str) -> "GrassmannElement":
@@ -217,15 +251,14 @@ class GrassmannElement:
         both generators is rewritten as sign * rest*first*second (sign of the
         reordering) and contributes sign * coefficient * rest.  Terms missing
         either generator contribute nothing; remaining odd factors stay in g."""
-        pair, flip = ((first, second), 1) if first < second else ((second, first), -1)
-        out: Dict[TermKey, GaussianRational] = {}
-        for (odd, even), coeff in self.terms.items():
-            if first not in odd or second not in odd:
-                continue
-            rest = tuple(g for g in odd if g not in pair)
-            sign = terms.merge_signed(rest, pair)[1] * flip
-            terms.accumulate(out, (rest, even), coeff * sign)
-        return GrassmannElement._of(out)
+        b1, b2 = _BIT.get(first, 0), _BIT.get(second, 0)
+        if not (b1 and b2) or b1 == b2:
+            return GrassmannElement()
+        # rest * first * second = flip * sign(rest, pair) * mask
+        pair, flip = b1 | b2, sign(b1, b2)
+        return GrassmannElement._of({(mask ^ pair, even): coeff * (flip * sign(mask ^ pair, pair))
+                                     for (mask, even), coeff in self.terms.items()
+                                     if mask & pair == pair})
 
     # -- inverses and exponentials ---------------------------------------------
 
@@ -235,7 +268,7 @@ class GrassmannElement:
         the top count present: (1 + ab + cd)^{-1} has an abcd term."""
         parts = [{} for _ in range(len(self.odd_generators()) + 1)]
         for key, c in self.terms.items():
-            parts[len(key[0])][key] = c
+            parts[key[0].bit_count()][key] = c
         pieces = terms.graded_series([GrassmannElement._of(p) for p in parts],
                                      first, coefficient)
         # piece w holds w odd generators, so the pieces share no key
@@ -253,14 +286,14 @@ class GrassmannElement:
             raise ValueError("invert_unit needs a single body monomial")
         (odd0, even0), c0 = body_terms[0]
         first = GrassmannElement._of(
-            {((), tuple((n, -e) for n, e in even0)): GaussianRational(1) / c0})
+            {(0, tuple((n, -e) for n, e in even0)): GaussianRational(1) / c0})
         minus_first = -first
         return self._graded_series(first, lambda j, w: minus_first)
 
     def exp(self) -> "GrassmannElement":
         """Exponential of an even element without body, which is nilpotent
         and commutes with everything."""
-        if self.parity() != 0 or any(not odd for odd, _even in self.terms):
+        if self.parity() != 0 or any(not mask for mask, _even in self.terms):
             raise ValueError("exp needs an even element without body")
         return self._graded_series(GrassmannElement.scalar(1), terms.exp_coefficient)
 
@@ -269,11 +302,18 @@ class GrassmannElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        rows = []
+        for (mask, even), coeff in self.terms.items():
+            # the product in name order is flip times the monomial mask
+            ordered, prefix, flip = sorted(names(mask)), 0, 1
+            for name in ordered:
+                flip *= sign(prefix, _BIT[name])
+                prefix |= _BIT[name]
+            rows.append((ordered, even, coeff * flip))
         chunks = []
-        for (odd, even) in sorted(self.terms):
-            coeff = self.terms[(odd, even)]
+        for ordered, even, coeff in sorted(rows, key=lambda row: row[:2]):
             factors = [f"({coeff!r})"]
-            factors.extend(odd)
+            factors.extend(ordered)
             factors.extend(
                 name if e == 1 else f"{name}^{e}" for name, e in even
             )

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import I
-from .grassmann import GrassmannElement, even, odd, scalar
+from .grassmann import GrassmannElement, bit, even, names, odd, scalar, sign
 from .zeta import BoundaryCondition, KineticOperator
 
 G = GrassmannElement
@@ -132,33 +132,34 @@ def pairing(a: Sequence[G], b: Sequence[G]) -> G:
 def normal_form_dt(element: G) -> G:
     """Canonical representative modulo total time derivatives for expressions
     quadratic in the component symbols, with even spectators only (the
-    curvature entries).  In every term the component factor first in name
-    order carries no derivatives: integration by parts moves its d
-    derivatives onto the second factor, with sign (-1)^d.
-
-    Name order is (base, slot, order) order for every slot below 100 and
-    derivative order below 10, which covers every name this module builds.
+    curvature entries).  In every term the component factor first in
+    (base, slot, order) order carries no derivatives: integration by parts
+    moves its d derivatives onto the second factor, with sign (-1)^d.  An
+    odd pair is put in that order by the Grassmann reordering sign.
     """
     out = GrassmannElement()
-    for (odd_mono, even_mono), coeff in element.terms.items():
-        comps = [_parse_component(name) for name in odd_mono]
-        if None in comps:
-            raise ValueError(f"odd spectator in {odd_mono}")
+    for (mask, even_mono), coeff in element.terms.items():
+        # (component, bit): the bit of an odd factor, 0 for an even one
+        comps = [(_parse_component(name), bit(name)) for name in names(mask)]
+        if any(parsed is None for parsed, _ in comps):
+            raise ValueError(f"odd spectator in {names(mask)}")
         spectators = []
         for name, exp in even_mono:
             parsed = _parse_component(name)
             if parsed is None:
                 spectators.append((name, exp))
             elif exp in (1, 2):
-                comps.extend([parsed] * exp)
+                comps.extend([(parsed, 0)] * exp)
             else:
                 raise ValueError("component exponent beyond quadratic order")
         if len(comps) != 2:
-            raise ValueError(f"term is not quadratic in components: {odd_mono}, {even_mono}")
-        if len(odd_mono) == 1:
+            raise ValueError(f"term is not quadratic in components: {names(mask)}, {even_mono}")
+        if mask.bit_count() == 1:
             raise ValueError("component pair of mixed parity")
-        (b1, i1, d1), (b2, i2, d2) = comps
-        spectator = GrassmannElement({((), tuple(spectators)): -coeff if d1 % 2 else coeff})
+        ((b1, i1, d1), m1), ((b2, i2, d2), m2) = sorted(comps)
+        # the term's odd monomial is sign(m1, m2) times the ordered pair
+        flip = sign(m1, m2) * (-1) ** d1
+        spectator = GrassmannElement({(0, tuple(spectators)): coeff * flip})
         out = out + spectator * component(b1, i1) * component(b2, i2, d1 + d2)
     return out
 

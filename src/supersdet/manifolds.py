@@ -45,6 +45,8 @@ def parse_partition_key(key: str) -> Partition:
             raise ManifoldParseError(f"pontryagin_numbers key {key!r}: bad factor {factor!r}")
         idx = int(m.group(1))
         mult = int(m.group(2) or 1)
+        if idx == 0 or mult == 0:
+            raise ManifoldParseError(f"pontryagin_numbers key {key!r}: zero in factor {factor!r}")
         parts.extend([idx] * mult)
     return tuple(sorted(parts, reverse=True))
 
@@ -376,8 +378,11 @@ def load_manifold(document: dict) -> ManifoldLike:
             raise ManifoldParseError("document.pontryagin_numbers: expected an object")
         numbers = {}
         for key, value in raw.items():
-            numbers[parse_partition_key(key)] = _coerce_number(
-                value, f"document.pontryagin_numbers.{key}")
+            partition = parse_partition_key(key)
+            if partition in numbers:
+                raise ManifoldParseError(f"document.pontryagin_numbers.{key}: "
+                                         f"repeats {partition_key(partition)}")
+            numbers[partition] = _coerce_number(value, f"document.pontryagin_numbers.{key}")
 
     if kind == "pontryagin_numbers":
         if numbers is None:
@@ -435,7 +440,7 @@ def load_manifold(document: dict) -> ManifoldLike:
     pclasses: Dict[int, Element] = {}
     for key, raw in raw_classes.items():
         m = _PART_KEY.match(key)
-        if not m or m.group(2):
+        if not m or m.group(2) or int(m.group(1)) == 0:
             raise ManifoldParseError(f"document.pontryagin_classes: bad key {key!r}")
         pclasses[int(m.group(1))] = parse_element(raw, f"document.pontryagin_classes.{key}")
 

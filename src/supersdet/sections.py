@@ -29,10 +29,10 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from . import terms
 from .gaussian import GaussianRational, ScalarLike
-from .grassmann import EvenMono, GrassmannElement, TermKey, even, odd
+from .grassmann import EvenMono, GrassmannElement, TermKey, bit, even, odd, sign
 
 R = "r"
-RHO = "rho"  # sorts after every dx_i, so it closes each odd monomial
+RHO = "rho"
 
 
 def _r_power(even_part: EvenMono) -> Fraction:
@@ -58,16 +58,15 @@ def d_coordinate(i: int) -> GrassmannElement:
 def monomial(exps: Sequence[int], idxs: Sequence[int],
              coeff: ScalarLike = 1) -> GrassmannElement:
     """coeff * x1^exps[0] ... xn^exps[n-1] dx_{idxs[0]} ... dx_{idxs[-1]}."""
-    odd_part: Tuple[str, ...] = ()
-    sign = 1
+    mask, flip = 0, 1
     for i in idxs:
-        merged = terms.merge_signed(odd_part, (f"dx{i}",))
-        if merged is None:
+        b = bit(f"dx{i}")
+        if mask & b:
             return GrassmannElement()
-        odd_part, flip = merged
-        sign *= flip
+        flip *= sign(mask, b)
+        mask |= b
     even_part = tuple(sorted((f"x{i}", e) for i, e in enumerate(exps, 1) if e))
-    return GrassmannElement({(odd_part, even_part): GaussianRational.coerce(coeff) * sign})
+    return GrassmannElement({(mask, even_part): GaussianRational.coerce(coeff) * flip})
 
 
 def section(form: GrassmannElement, r_power: Fraction = Fraction(0),
@@ -85,27 +84,26 @@ def d(s: GrassmannElement) -> GrassmannElement:
     """The exterior derivative sum_i dx_i d/dx_i: an odd derivation that
     leaves r alone and anticommutes past rho."""
     out: Dict[TermKey, GaussianRational] = {}
-    for (odd_part, even_part), c in s.terms.items():
+    for (mask, even_part), c in s.terms.items():
         for pos, (name, e) in enumerate(even_part):
             if name == R:
                 continue
-            merged = terms.merge_signed(("d" + name,), odd_part)
-            if merged is None:
+            b = bit("d" + name)
+            if mask & b:
                 continue
-            new_odd, sign = merged
             lowered = ((name, e - 1),) if e != 1 else ()
-            terms.accumulate(out, (new_odd, even_part[:pos] + lowered + even_part[pos + 1:]),
-                             c * (e * sign))
+            terms.accumulate(out, (mask | b, even_part[:pos] + lowered + even_part[pos + 1:]),
+                             c * (e * sign(b, mask)))
     return GrassmannElement._of(out)
 
 
 def degrees(form: GrassmannElement) -> Set[int]:
-    return {len(odd_part) for (odd_part, _e) in form.terms}
+    return {mask.bit_count() for (mask, _e) in form.terms}
 
 
 def degree_component(form: GrassmannElement, k: int) -> GrassmannElement:
     return GrassmannElement._of({key: c for key, c in form.terms.items()
-                                 if len(key[0]) == k})
+                                 if key[0].bit_count() == k})
 
 
 def is_closed(form: GrassmannElement) -> bool:
@@ -118,17 +116,15 @@ def apply_Q(s: GrassmannElement) -> GrassmannElement:
     """The supersymmetry generator Q = -2i rho d/dr - d + i (rho/r) deg.
     Q is odd and Q-closedness characterizes the supersymmetric sections."""
     out: Dict[TermKey, GaussianRational] = {}
-    for (odd_part, even_part), c in s.terms.items():
-        if odd_part and odd_part[-1] == RHO:
+    rho = bit(RHO)
+    for (mask, even_part), c in s.terms.items():
+        if mask & rho:
             continue  # rho^2 = 0
         # -2i rho d/dr + i (rho/r) deg sends r^q omega to i (deg - 2q) r^{q-1} rho omega
         q = _r_power(even_part)
-        deg = len(odd_part)
-        weight = GaussianRational(0, deg - 2 * q)
+        weight = GaussianRational(0, mask.bit_count() - 2 * q)
         if weight:
-            # rho moves right past the deg odd generators of omega
-            out[(odd_part + (RHO,), _with_r_power(even_part, q - 1))] = \
-                c * weight if deg % 2 == 0 else -(c * weight)
+            out[(mask | rho, _with_r_power(even_part, q - 1))] = c * weight * sign(rho, mask)
     return GrassmannElement._of(out) - d(s)
 
 
@@ -141,11 +137,10 @@ def q_squared(s: GrassmannElement) -> GrassmannElement:
 
 
 def rho_d(s: GrassmannElement) -> GrassmannElement:
-    """The operator rho (x) d (sending rho-terms to zero); Q^2 equals
-    -(i/r) times this, an identity the suite establishes on a spanning set."""
-    plain = GrassmannElement._of({key: c for key, c in s.terms.items()
-                                  if RHO not in key[0]})
-    return odd(RHO) * d(plain)
+    """The operator rho (x) d (sending rho-terms to zero, as rho^2 = 0); Q^2
+    equals -(i/r) times this, an identity the suite establishes on a spanning
+    set."""
+    return odd(RHO) * d(s)
 
 
 def scale_r(s: GrassmannElement, power: Fraction) -> GrassmannElement:
@@ -159,7 +154,7 @@ def grade(s: GrassmannElement) -> Set[int]:
     of odd generators, so a plain term of form degree k sits in weight k and
     a rho-term in deg + 1 (the odd radius coordinate carries one unit of the
     finite-group weight, which is what keeps Q acting homogeneously)."""
-    return {len(odd_part) % 4 for (odd_part, _e) in s.terms}
+    return {mask.bit_count() % 4 for (mask, _e) in s.terms}
 
 
 def is_section_of(s: GrassmannElement, k: int) -> bool:
@@ -196,8 +191,8 @@ def to_cocycle(s: GrassmannElement) -> Cocycle:
         raise ValueError("sections over the vacua carry no rho-dependence")
     if not is_supersymmetric(s):
         raise ValueError("section is not supersymmetric")
-    for (odd_part, even_part) in s.terms:
-        k, q = len(odd_part), _r_power(even_part)
+    for (mask, even_part) in s.terms:
+        k, q = mask.bit_count(), _r_power(even_part)
         if q != Fraction(k, 2):
             raise ValueError(f"term of degree {k} carries r^{q}, expected r^{Fraction(k, 2)}")
     return [(TwoPiPower(Fraction(1), -Fraction(k, 2)),

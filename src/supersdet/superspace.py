@@ -244,7 +244,8 @@ def _apply_isometry(translation: Optional[Translation], twist: TimeReversal,
 
 def _r_orientation(r_component: G) -> int:
     """Sign of the leading r-coefficient of the even slot of a generator."""
-    coeff = r_component.terms.get(((), (("r", 1),)))
+    (r_key,) = even("r").terms
+    coeff = r_component.terms.get(r_key)
     if coeff is None or not coeff.is_rational():
         raise ValueError("cannot orient a lattice generator without a +-r leading term")
     return 1 if coeff.re > 0 else -1

@@ -6,8 +6,10 @@ elements) is a dict from a monomial key to an exact coefficient, a
 Fraction or a GaussianRational.  The functions here build such dicts and
 never store a zero coefficient, so every dict they return is clean.  What
 a key means, and how two keys multiply, stays with the algebra that owns
-it.  The grading recurrence at the end sums every exponential and every
-unit inverse, over whatever grading its caller cuts the element into.
+it: the sign of a product of anticommuting generators, for one, is
+grassmann.sign.  The grading recurrence at the end sums every exponential
+and every unit inverse, over whatever grading its caller cuts the element
+into.
 """
 
 from __future__ import annotations
@@ -66,34 +68,6 @@ def product(a: Iterable[Tuple[object, object]], b: Iterable[Tuple[object, object
             key, sign = hit
             accumulate(out, key, ca * cb if sign > 0 else -(ca * cb))
     return out
-
-
-def merge_signed(a: tuple, b: tuple) -> Optional[Tuple[tuple, int]]:
-    """Merge two sorted tuples of anticommuting labels.  Returns the sorted
-    union and the sign of the permutation that sorts a + b, or None when a
-    label repeats (the product is then zero)."""
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining len(a)-i labels of a
-            if (len(a) - i) % 2 == 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
 
 
 def graded_series(parts: Sequence, first, coefficient: Callable[[int, int], object]) -> list:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 from .gaussian import GaussianRational, I
-from .grassmann import GrassmannElement, _mul_even, even, scalar
+from .grassmann import GrassmannElement, _mul_even, even, scalar, sign
 from .series import (
     GradedPolynomial,
     l_class_in_ph,
@@ -93,10 +93,8 @@ def trace_inv_power(bc: BoundaryCondition, two_k: int) -> RPower:
 class CurvatureMatrix:
     """Concrete antisymmetric matrix with even nilpotent Grassmann entries.
 
-    The powers of R are built in a kernel private to this class.  Bit i of a
-    mask stands for the i-th odd generator in sorted-name order, the order in
-    which GrassmannElement keeps its generators, so the sign of a product
-    (the parity of its inversions) is the sign GrassmannElement gives.  The
+    The powers of R are built in a kernel private to this class, on the
+    keys of the GrassmannElement entries and with their sign rule.  The
     denominators of all Q(i) coefficients are cleared once, R = R_int / d,
     so an entry is a dict {(mask, even monomial): (re, im)} over the
     Gaussian integers; a trace is divided by d^m when it leaves the kernel.
@@ -117,15 +115,13 @@ class CurvatureMatrix:
                 if not rows[i][j].is_zero() and rows[i][j].parity() != 0:
                     raise ValueError(f"entry ({i},{j}) is not even")
         self.n = n
-        self._names = sorted(set().union(*(e.odd_generators() for row in rows for e in row)))
-        bit = {name: 1 << i for i, name in enumerate(self._names)}
+        self._generators = len(set().union(*(e.odd_generators() for row in rows for e in row)))
         d = math.lcm(*(part.denominator for row in rows for e in row
                        for c in e.terms.values() for part in (c.re, c.im)))
         self._denominator = d
 
         def integral(e: GrassmannElement) -> dict:
-            return {(sum(bit[g] for g in odd), ev): (int(c.re * d), int(c.im * d))
-                    for (odd, ev), c in e.terms.items()}
+            return {key: (int(c.re * d), int(c.im * d)) for key, c in e.terms.items()}
 
         # R_int, R_int^2, ...: built on demand and shared by every trace
         self._powers = [tuple(tuple(integral(e) for e in row) for row in rows)]
@@ -147,11 +143,9 @@ class CurvatureMatrix:
                 old = acc.get(key)
                 acc[key] = (re + old[0], im + old[1]) if old else (re, im)
         scale = self._denominator ** m
-        names = self._names
-        return GrassmannElement({
-            (tuple(name for i, name in enumerate(names) if mask >> i & 1), ev):
-                GaussianRational(Fraction(re, scale), Fraction(im, scale))
-            for (mask, ev), (re, im) in acc.items() if re or im})
+        return GrassmannElement._of({
+            key: GaussianRational(Fraction(re, scale), Fraction(im, scale))
+            for key, (re, im) in acc.items() if re or im})
 
     def scaled_trace(self, k: int) -> GrassmannElement:
         """(i r)^{2k} Tr(R^{2k}), an even Grassmann element with r-powers."""
@@ -161,12 +155,7 @@ class CurvatureMatrix:
     def max_relevant_k(self) -> int:
         """Traces of order beyond the generator count vanish; cap the sums."""
         # each R factor contributes at least two odd generators
-        return max(1, len(self._names) // 2)
-
-    def assert_odd_traces_vanish(self, max_m: int) -> None:
-        for m in range(1, max_m + 1, 2):
-            if not self.matrix_power_trace(m).is_zero():
-                raise AssertionError(f"odd-power trace Tr(R^{m}) is nonzero")
+        return max(1, self._generators // 2)
 
 
 def _matmul(a, b):
@@ -188,14 +177,7 @@ def _matmul(a, b):
                             continue
                         flip = signs.get((m1, m2))
                         if flip is None:
-                            # each generator of m2 moves left past the larger
-                            # generators of m1
-                            swaps, rest = 0, m2
-                            while rest:
-                                low = rest & -rest
-                                swaps += (m1 & -(low << 1)).bit_count()
-                                rest ^= low
-                            flip = signs[(m1, m2)] = swaps & 1
+                            flip = signs[(m1, m2)] = sign(m1, m2) < 0
                         re = r1 * r2 - i1 * i2
                         im = r1 * i2 + i1 * r2
                         if flip:

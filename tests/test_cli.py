@@ -110,9 +110,18 @@ def _cp2_with(change):
     ({"name": "bogus", "dimension": False, "kind": "pontryagin_numbers", "signature": 1,
       "pontryagin_numbers": {}}, ["lgenus"]),
     (_cp2_with(lambda d: d["basis"][0].update(degree=False)), ["lgenus"]),
+    ({"name": "bogus", "dimension": 0, "kind": "pontryagin_numbers", "signature": 1,
+      "pontryagin_numbers": {"p0": 1}}, ["lgenus"]),
+    ({"name": "bogus", "dimension": 8, "kind": "pontryagin_numbers", "signature": 1,
+      "pontryagin_numbers": {"p2": 7, "p1^2": 5, "p1*p1": 2}}, ["lgenus"]),
+    (_cp2_with(lambda d: d["pontryagin_classes"].update(p0=[{"basis": "1", "coeff": 1}])),
+     ["lgenus"]),
+    ({"name": "bogus", "dimension": 0, "kind": "pontryagin_numbers", "signature": 1,
+      "pontryagin_numbers": {"p1^0": 1}}, ["lgenus"]),
 ], ids=["den-zero", "num-string", "num-bool", "classes-list", "basis-name-list",
         "products-int", "product-left-list", "result-basis-list", "class-den-zero",
-        "dimension-bool", "basis-degree-bool"])
+        "dimension-bool", "basis-degree-bool", "numbers-p0", "numbers-repeated-partition",
+        "classes-p0", "numbers-zero-exponent"])
 def test_malformed_manifold_input_is_a_usage_error(capsys, tmp_path, document, argv):
     if document is not None:
         path = tmp_path / "m.json"

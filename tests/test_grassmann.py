@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +103,7 @@ def test_top_pair_extraction():
     f = w * th1 * th2
     assert (f.coefficient_of_odd_pair("theta1", "theta2") - w).is_zero()
     assert scalar(7).coefficient_of_odd_pair("theta1", "theta2").is_zero()
+    assert f.coefficient_of_odd_pair("theta1", "theta1").is_zero()  # theta1^2 = 0
 
 
 def test_invert_unit():
@@ -122,3 +128,54 @@ def test_elements_are_unhashable():
     assert scalar(1) == 1
     with pytest.raises(TypeError):
         hash(scalar(1))
+
+
+# Runs the CLI and concrete superdeterminants after interning the names
+# given in argv[1], and prints the output and the generator table as JSON.
+INTERNING_RUN = r"""
+import contextlib, io, json, random, sys
+from fractions import Fraction
+from supersdet import cli, grassmann, zeta
+from supersdet.gaussian import GaussianRational
+
+for name in json.loads(sys.argv[1]):
+    grassmann.odd(name)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    cli.main(["verify", "--format", "json"])
+    cli.main(["sdet", "--n", "4", "--k", "4", "--mode", "concrete"])
+    cli.main(["sdet", "--n", "4", "--k", "4", "--mode", "concrete", "--pp"])
+    for seed in range(4):
+        rng = random.Random(seed)
+        n, g = 4 + seed % 2, 12
+        psi = [grassmann.odd(f"psi{a}") for a in rng.sample(range(g), g)]
+        coeffs = [-2, 1, Fraction(1, 2), GaussianRational(1, Fraction(2, 3))]
+        rows = [[grassmann.scalar(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b, c, d = rng.sample(range(g), 4)
+                e = rng.choice(coeffs) * psi[a] * psi[b] + rng.choice(coeffs) * psi[c] * psi[d]
+                rows[i][j], rows[j][i] = e, -e
+        print(zeta.sdet_concrete(zeta.CurvatureMatrix(rows)))
+print(json.dumps({"output": out.getvalue(), "names": grassmann._NAMES}))
+"""
+
+
+def _interning_run(names):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", INTERNING_RUN, json.dumps(names)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_output_does_not_depend_on_interning_order():
+    plain = _interning_run([])
+    reverse = sorted(plain["names"], reverse=True)
+    assert plain["names"] != reverse
+    interned = _interning_run(reverse)
+    # every generator the run used had its bit before the run began
+    assert interned["names"] == reverse
+    assert interned["output"] == plain["output"]
+    assert '"passed":true' in plain["output"] and "psi" in plain["output"]

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from supersdet.gaussian import GaussianRational, I
-from supersdet.grassmann import GrassmannElement, scalar
+from supersdet.grassmann import GrassmannElement, even, odd, scalar
 from supersdet.sections import (
     TwoPiPower,
     apply_Q,
@@ -190,7 +191,13 @@ def homogeneous_sections(parity):
         lambda es: tuple((f"x{i}", e) for i, e in enumerate(es, 1) if e))
     key = st.tuples(odd_part, st.tuples(r_part, x_part).map(lambda p: p[0] + p[1]))
     coeff = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
-    return st.dictionaries(key, coeff, max_size=3).map(GrassmannElement)
+    return st.dictionaries(key, coeff, max_size=3).map(_from_products)
+
+
+def _from_products(terms):
+    """The sum of c * (odd generators in name order) * (even powers)."""
+    return sum((math.prod([scalar(c), *map(odd, o), *(even(n, e) for n, e in ev)])
+                for (o, ev), c in terms.items()), GrassmannElement())
 
 
 @settings(derandomize=True, max_examples=50, deadline=None, database=None)

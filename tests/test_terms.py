@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from supersdet import terms
 from supersdet.gaussian import GaussianRational
-from supersdet.grassmann import GrassmannElement
+from supersdet.grassmann import GrassmannElement, even, odd, scalar, sign
 from supersdet.sections import monomial
 from supersdet.series import GradedPolynomial, TruncatedSeries
 
@@ -30,14 +30,22 @@ def sorted_subset(pool, sizes):
 
 
 def grassmann_terms(parity):
-    odd = sorted_subset(ODD, range(5) if parity is None else (parity, parity + 2))
-    even = st.dictionaries(st.sampled_from(("r", "t")), st.integers(-2, 2).filter(bool),
-                           max_size=2).map(lambda d: tuple(sorted(d.items())))
-    return st.dictionaries(st.tuples(odd, even), coeffs, max_size=4)
+    """{(odd names in name order, even powers): coefficient}, a description
+    that from_products turns into an element."""
+    odd_names = sorted_subset(ODD, range(5) if parity is None else (parity, parity + 2))
+    even_powers = st.dictionaries(st.sampled_from(("r", "t")), st.integers(-2, 2).filter(bool),
+                                  max_size=2).map(lambda d: tuple(sorted(d.items())))
+    return st.dictionaries(st.tuples(odd_names, even_powers), coeffs, max_size=4)
+
+
+def from_products(terms):
+    """The sum of c * (odd generators in name order) * (even powers)."""
+    return sum((math.prod([scalar(c), *map(odd, o), *(even(n, e) for n, e in ev)])
+                for (o, ev), c in terms.items()), GrassmannElement())
 
 
 def grassmann(parity=None):
-    return grassmann_terms(parity).map(GrassmannElement)
+    return grassmann_terms(parity).map(from_products)
 
 
 def forms(degree=None):
@@ -49,15 +57,15 @@ def forms(degree=None):
 
 def _permutation_sign(idxs):
     """The sign of the permutation sorting idxs, or 0 on a repeated label:
-    the quadratic-time reference that merge_signed is checked against."""
+    the quadratic-time reference that sign is checked against."""
     if len(set(idxs)) < len(idxs):
         return 0
-    sign = 1
+    out = 1
     for i in range(len(idxs)):
         for j in range(i + 1, len(idxs)):
             if idxs[i] > idxs[j]:
-                sign = -sign
-    return sign
+                out = -out
+    return out
 
 
 def rational_terms():
@@ -71,12 +79,13 @@ def no_zero(d):
 @CORE
 @given(labels, labels)
 def test_merge_signed_is_the_sorting_sign(a, b):
-    merged = terms.merge_signed(a, b)
-    sign = _permutation_sign(a + b)
-    if sign == 0:
-        assert merged is None
+    # the labels are bit positions: m1 * m2 = sign(m1, m2) * (m1 | m2)
+    m1, m2 = (sum(1 << i for i in xs) for xs in (a, b))
+    expected = _permutation_sign(a + b)
+    if expected == 0:
+        assert m1 & m2
     else:
-        assert merged == (tuple(sorted(a + b)), sign)
+        assert sign(m1, m2) == expected
 
 
 @CORE
@@ -132,8 +141,8 @@ def test_grassmann_results_hold_no_zero(x, y):
 @CORE
 @given(coeffs, st.integers(-2, 2), grassmann_terms(0))
 def test_invert_unit_is_an_inverse(c, e, soul):
-    unit = GrassmannElement({((), (("r", e),) if e else ()): c})
-    x = unit + GrassmannElement({k: v for k, v in soul.items() if k[0]})
+    unit = scalar(c) * even("r", e)
+    x = unit + from_products({k: v for k, v in soul.items() if k[0]})
     assert x * x.invert_unit() == 1
 
 
@@ -171,9 +180,9 @@ def graded_polynomials(K):
 
 def even_souls(names=("a", "b", "c", "d", "e", "f")):
     """Even Grassmann elements without body, over six generators."""
-    odd = sorted_subset(names, (2, 4))
-    even = st.sampled_from(((), (("r", 1),), (("r", -2),)))
-    return st.dictionaries(st.tuples(odd, even), coeffs, max_size=4).map(GrassmannElement)
+    odd_names = sorted_subset(names, (2, 4))
+    even_powers = st.sampled_from(((), (("r", 1),), (("r", -2),)))
+    return st.dictionaries(st.tuples(odd_names, even_powers), coeffs, max_size=4).map(from_products)
 
 
 @CORE
@@ -224,9 +233,9 @@ def test_truncated_series_inverse_exp_log_round_trip(coeffs):
 def test_invert_unit_soul_reaches_odd_count_four(pieces):
     # a soul of pair terms only: (1 + s)^{-1} = 1 - s + s^2 - ..., whose
     # count-4 piece is s^2 although no input term has four generators
-    soul = GrassmannElement({(odd, ()): c for odd, c in pieces})
+    soul = from_products({(odd_names, ()): c for odd_names, c in pieces})
     inverse = (1 + soul).invert_unit()
     assert inverse == power_sum(soul, GrassmannElement.scalar(1), lambda j: (-1) ** j)
     assert (1 + soul) * inverse == 1
-    top = GrassmannElement({k: c for k, c in inverse.terms.items() if len(k[0]) == 4})
+    top = GrassmannElement({k: c for k, c in inverse.terms.items() if k[0].bit_count() == 4})
     assert top == soul * soul
