@@ -139,6 +139,5 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

@@ -101,27 +101,10 @@ class GrassmannElement:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def scalar(value: ScalarLike) -> "GrassmannElement":
-        c = GaussianRational.coerce(value)
-        if not c:
-            return GrassmannElement()
-        return GrassmannElement({(0, _EMPTY): c})
-
-    @staticmethod
-    def odd(name: str) -> "GrassmannElement":
-        return GrassmannElement({(bit(name), _EMPTY): GaussianRational(1)})
-
-    @staticmethod
-    def even(name: str, exponent: int = 1) -> "GrassmannElement":
-        if exponent == 0:
-            return GrassmannElement.scalar(1)
-        return GrassmannElement({(0, ((name, exponent),)): GaussianRational(1)})
-
-    @staticmethod
     def coerce(value: Coercible) -> "GrassmannElement":
         if isinstance(value, GrassmannElement):
             return value
-        return GrassmannElement.scalar(value)
+        return scalar(value)
 
     # -- ring structure ----------------------------------------------------
 
@@ -295,7 +278,7 @@ class GrassmannElement:
         and commutes with everything."""
         if self.parity() != 0 or any(not mask for mask, _even in self.terms):
             raise ValueError("exp needs an even element without body")
-        return self._graded_series(GrassmannElement.scalar(1), terms.exp_coefficient)
+        return self._graded_series(scalar(1), terms.exp_coefficient)
 
     # -- rendering -------------------------------------------------------------
 
@@ -324,12 +307,17 @@ class GrassmannElement:
 
 
 def scalar(value: ScalarLike) -> GrassmannElement:
-    return GrassmannElement.scalar(value)
+    c = GaussianRational.coerce(value)
+    if not c:
+        return GrassmannElement()
+    return GrassmannElement._of({(0, _EMPTY): c})
 
 
 def odd(name: str) -> GrassmannElement:
-    return GrassmannElement.odd(name)
+    return GrassmannElement._of({(bit(name), _EMPTY): GaussianRational(1)})
 
 
 def even(name: str, exponent: int = 1) -> GrassmannElement:
-    return GrassmannElement.even(name, exponent)
+    if exponent == 0:
+        return scalar(1)
+    return GrassmannElement._of({(0, ((name, exponent),)): GaussianRational(1)})

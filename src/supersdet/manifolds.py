@@ -222,15 +222,6 @@ class CohomologyModel:
     def one(self) -> Element:
         return self.element(self.unit)
 
-    def zero(self) -> Element:
-        return {}
-
-    def add(self, a: Element, b: Element) -> Element:
-        return terms.add(a, b)
-
-    def scale(self, a: Element, c: Fraction) -> Element:
-        return terms.scale(a, Fraction(c))
-
     def _basis_product(self, x: str, y: str) -> Element:
         if x == self.unit:
             return {y: Fraction(1)}
@@ -240,7 +231,7 @@ class CohomologyModel:
             return self.products[(x, y)]
         if (y, x) in self.products:
             sign = (-1) ** (self.degree[x] * self.degree[y])
-            return self.scale(self.products[(y, x)], Fraction(sign))
+            return terms.scale(self.products[(y, x)], Fraction(sign))
         # unspecified products of positive-degree classes vanish (above top degree)
         return {}
 
@@ -263,7 +254,7 @@ class CohomologyModel:
             if k:
                 a = self.multiply(a, a)
                 if not a:
-                    return self.zero()
+                    return {}
         return out
 
     def integrate(self, a: Element) -> Fraction:
@@ -295,7 +286,7 @@ class CohomologyModel:
             for y in names:
                 left = self._basis_product(x, y)
                 sign = (-1) ** (self.degree[x] * self.degree[y])
-                right = self.scale(self._basis_product(y, x), Fraction(sign))
+                right = terms.scale(self._basis_product(y, x), Fraction(sign))
                 if left != right:
                     raise ManifoldValidationError(
                         f"{self.name}: graded commutativity fails on ({x}, {y})")
@@ -333,14 +324,14 @@ def total_l_class(M: CohomologyModel) -> Element:
     K = max(1, M.dimension // 4)
     out = M.one()
     for k, poly in enumerate(l_polynomials(K), start=1):
-        piece = M.zero()
+        piece: Element = {}
         for exps, coeff in poly.coeffs.items():
             term = M.one()
             for i, e in enumerate(exps):
                 for _ in range(e):
                     term = M.multiply(term, M.pontryagin_class(i + 1))
-            piece = M.add(piece, M.scale(term, coeff))
-        out = M.add(out, piece)
+            piece = terms.add(piece, terms.scale(term, coeff))
+        out = terms.add(out, piece)
     return out
 
 
@@ -365,6 +356,8 @@ def load_manifold(document: dict) -> ManifoldLike:
         if key not in document:
             raise ManifoldParseError(f"document.{key}: missing")
     name = document["name"]
+    if not isinstance(name, str):
+        raise ManifoldParseError("document.name: expected a string")
     dimension = document["dimension"]
     if not _is_integer(dimension):
         raise ManifoldParseError("document.dimension: expected an integer")
@@ -387,7 +380,12 @@ def load_manifold(document: dict) -> ManifoldLike:
     if kind == "pontryagin_numbers":
         if numbers is None:
             raise ManifoldParseError("document.pontryagin_numbers: missing")
-        return PontryaginData(name, dimension, numbers, signature)
+        data = PontryaginData(name, dimension, numbers, signature)
+        for partition in partitions_of(data.weight):
+            if partition not in numbers:
+                raise ManifoldParseError("document.pontryagin_numbers: "
+                                         f"missing {partition_key(partition) or '1'}")
+        return data
 
     if kind != "cohomology_model":
         raise ManifoldParseError(f"document.kind: unknown kind {kind!r}")
@@ -475,7 +473,7 @@ def load_manifold_file(path: str) -> ManifoldLike:
 def parse_class(expr: str, M: CohomologyModel) -> Element:
     """A linear combination of basis powers: terms joined by '+', each a '*'
     product of rational constants and basis names with optional ^k."""
-    out = M.zero()
+    out: Element = {}
     for raw_term in expr.split("+"):
         term = raw_term.strip()
         if not term:
@@ -496,5 +494,5 @@ def parse_class(expr: str, M: CohomologyModel) -> Element:
                     f"class expression: {factor!r} is neither a rational nor a basis name")
             except ZeroDivisionError:
                 raise ManifoldParseError(f"class expression: {factor!r} has a zero denominator")
-        out = M.add(out, M.scale(element, coeff))
+        out = terms.add(out, terms.scale(element, coeff))
     return out

@@ -173,11 +173,6 @@ class TwoPiPower:
         return TwoPiPower(self.coefficient * other.coefficient,
                           self.exponent + other.exponent)
 
-    def __str__(self) -> str:
-        if self.exponent == 0:
-            return str(self.coefficient)
-        return f"{self.coefficient}*(2pi)^{self.exponent}"
-
 
 Cocycle = List[Tuple[TwoPiPower, GrassmannElement]]
 

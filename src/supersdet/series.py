@@ -144,18 +144,11 @@ class TruncatedSeries:
         """Logarithm of a series with constant term 1, via f'/f integration."""
         if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        # l'(x) = f'(x)/f(x); integrate term by term
-        deriv = [self.coeffs[k] * k for k in range(1, n + 1)]
-        inv = self.inverse().coeffs
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(k):
-                if i < len(deriv):
-                    acc += deriv[i] * inv[k - 1 - i]
-            out[k] = acc / k
-        return TruncatedSeries(out)
+        # f' is known to one order less than f; a constant f has f' = 0
+        deriv = TruncatedSeries([k * c for k, c in enumerate(self.coeffs)][1:] or [0])
+        quotient = deriv * self.inverse()
+        return TruncatedSeries([0] + [c / k for k, c in
+                                      enumerate(quotient.coeffs[:self.order], start=1)])
 
     def exp(self) -> "TruncatedSeries":
         """Exponential of a series with zero constant term."""
@@ -220,8 +213,8 @@ class GradedPolynomial:
     (cohomological degree 4i), truncated above total weight K.
 
     The basis label records which generators the exponent vectors refer to:
-    "p" for Pontryagin classes, "ph" for Pontryagin-character components,
-    "s" for power sums.  Conversions between bases are explicit maps.
+    "p" for Pontryagin classes, "ph" for Pontryagin-character components.
+    Conversions between the two bases are explicit maps.
     """
 
     __slots__ = ("nvars", "basis", "coeffs")
@@ -390,7 +383,8 @@ class GradedPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Newton identities: power sums <-> elementary symmetric functions
+# Newton identities: power sums <-> elementary symmetric functions, with the
+# power sums s_k = (2k)! ph_k
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -407,30 +401,25 @@ def power_sum_in_elementary(k: int, nvars: int) -> GradedPolynomial:
 
 
 @lru_cache(maxsize=None)
-def elementary_in_power_sums(k: int, nvars: int) -> GradedPolynomial:
-    """The k-th elementary symmetric function in the power-sum basis "s",
-    via k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} s_i."""
-    if k < 1 or k > nvars:
+def elementary_in_ph(k: int, nvars: int) -> GradedPolynomial:
+    """The k-th elementary symmetric function in the basis "ph", via
+    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} (2i)! ph_i and e_0 = 1."""
+    if k < 0 or k > nvars:
         raise ValueError("k out of range")
-    acc = GradedPolynomial.zero(nvars, "s")
+    if k == 0:
+        return GradedPolynomial.one(nvars, "ph")
+    acc = GradedPolynomial.zero(nvars, "ph")
     for i in range(1, k + 1):
-        if i == k:
-            prev = GradedPolynomial.one(nvars, "s")
-        else:
-            prev = elementary_in_power_sums(k - i, nvars)
-        acc = acc + Fraction((-1) ** (i - 1)) * prev * GradedPolynomial.generator(i, nvars, "s")
+        s_i = Fraction((-1) ** (i - 1) * math.factorial(2 * i)) \
+            * GradedPolynomial.generator(i, nvars, "ph")
+        acc = acc + elementary_in_ph(k - i, nvars) * s_i
     return Fraction(1, k) * acc
 
 
 def pontryagin_to_powersums(K: int) -> Callable[[GradedPolynomial], GradedPolynomial]:
     """Map a p-basis polynomial to the ph-basis, substituting each p_i by its
     Newton expression in the scaled power sums s_k = (2k)! ph_k."""
-    images = []
-    for i in range(1, K + 1):
-        e_in_s = elementary_in_power_sums(i, K)
-        ph_images = [Fraction(math.factorial(2 * k)) * GradedPolynomial.generator(k, K, "ph")
-                     for k in range(1, K + 1)]
-        images.append(e_in_s.substitute(ph_images))
+    images = [elementary_in_ph(i, K) for i in range(1, K + 1)]
 
     def convert(poly: GradedPolynomial) -> GradedPolynomial:
         if poly.basis != "p":

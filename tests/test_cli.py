@@ -118,10 +118,13 @@ def _cp2_with(change):
      ["lgenus"]),
     ({"name": "bogus", "dimension": 0, "kind": "pontryagin_numbers", "signature": 1,
       "pontryagin_numbers": {"p1^0": 1}}, ["lgenus"]),
+    ({"name": "bogus", "dimension": 8, "kind": "pontryagin_numbers", "signature": 1,
+      "pontryagin_numbers": {"p2": 10}}, ["lgenus"]),
+    (_cp2_with(lambda d: d.update(name=True)), ["lgenus"]),
 ], ids=["den-zero", "num-string", "num-bool", "classes-list", "basis-name-list",
         "products-int", "product-left-list", "result-basis-list", "class-den-zero",
         "dimension-bool", "basis-degree-bool", "numbers-p0", "numbers-repeated-partition",
-        "classes-p0", "numbers-zero-exponent"])
+        "classes-p0", "numbers-zero-exponent", "numbers-missing-partition", "name-bool"])
 def test_malformed_manifold_input_is_a_usage_error(capsys, tmp_path, document, argv):
     if document is not None:
         path = tmp_path / "m.json"
@@ -212,6 +215,17 @@ def test_console_script_runs():
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert "MATCH" in proc.stdout
+
+
+def test_zeta_import_leaves_the_upper_layers_unloaded():
+    # the package root re-exports nothing, so importing one layer loads only
+    # that layer and the ones it builds on
+    upper = ["manifolds", "superspace", "linearization", "sections", "verify"]
+    code = ("import sys, supersdet.zeta\n"
+            f"print([m for m in {upper!r} if 'supersdet.' + m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=CHILD_ENV, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_flag_rejected(capsys):

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from supersdet.grassmann import GrassmannElement, even, odd, scalar
@@ -40,6 +46,39 @@ def test_normal_form_integration_by_parts():
     total = lin.component("a", 1, 1) * lin.component("a", 1, 1) \
         + lin.component("a", 1, 0) * lin.component("a", 1, 2)
     assert lin.normal_form_dt(total).is_zero()
+
+
+# Normal forms after the odd component names are interned in reverse-sorted
+# order, so the eta2 slots hold lower bits than the eta1 slots.
+NORMAL_FORMS_RUN = r"""
+import json
+from supersdet import grassmann
+from supersdet import linearization as lin
+
+order = ["eta201.1", "eta201.0", "eta101.1", "eta101.0"]
+for name in order:
+    grassmann.odd(name)
+c = lin.component
+cases = [
+    (c("eta1", 1, 1) * c("eta2", 1, 0), -1 * c("eta1", 1, 0) * c("eta2", 1, 1)),
+    (c("eta2", 1, 0) * c("eta1", 1, 1), c("eta1", 1, 0) * c("eta2", 1, 1)),
+    (c("a", 2, 0) * c("a", 1, 1), -1 * c("a", 1, 0) * c("a", 2, 1)),
+]
+print(json.dumps({"interned": grassmann._NAMES[:len(order)] == order,
+                  "forms": [[str(lin.normal_form_dt(term)), str(want)] for term, want in cases]}))
+"""
+
+
+def test_normal_form_orders_the_pair_by_component_not_by_bit():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NORMAL_FORMS_RUN],
+                          capture_output=True, text=True, env=env, check=True)
+    result = json.loads(proc.stdout)
+    assert result["interned"]
+    for got, want in result["forms"]:
+        assert got == want
 
 
 def test_normal_form_rejects_odd_spectator():

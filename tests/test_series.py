@@ -145,6 +145,9 @@ def test_newton_conversions():
     ph2 = GradedPolynomial.generator(2, K, "ph")
     assert to_p(ph1) == Fraction(1, 2) * p1
     assert to_p(ph2) == Fraction(1, 24) * (p1 * p1 - 2 * p2)
+    # p1 = s1 = 2 ph1 and p2 = (s1^2 - s2)/2 with s2 = 24 ph2
+    assert to_ph(p1) == 2 * ph1
+    assert to_ph(p2) == 2 * ph1 * ph1 - 12 * ph2
     mono = p1 * p2
     assert to_p(to_ph(mono)) == mono
     assert to_ph(to_p(ph1 * ph2)) == ph1 * ph2

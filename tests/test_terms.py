@@ -197,7 +197,7 @@ def test_graded_polynomial_exp_is_a_homomorphism(pair):
 @CORE
 @given(even_souls(), even_souls())
 def test_grassmann_exp_is_a_homomorphism(a, b):
-    one = GrassmannElement.scalar(1)
+    one = scalar(1)
     assert (a + b).exp() == a.exp() * b.exp()
     assert a.exp() == power_sum_exp(a, one)
 
@@ -235,7 +235,7 @@ def test_invert_unit_soul_reaches_odd_count_four(pieces):
     # count-4 piece is s^2 although no input term has four generators
     soul = from_products({(odd_names, ()): c for odd_names, c in pieces})
     inverse = (1 + soul).invert_unit()
-    assert inverse == power_sum(soul, GrassmannElement.scalar(1), lambda j: (-1) ** j)
+    assert inverse == power_sum(soul, scalar(1), lambda j: (-1) ** j)
     assert (1 + soul) * inverse == 1
     top = GrassmannElement({k: c for k, c in inverse.terms.items() if k[0].bit_count() == 4})
     assert top == soul * soul

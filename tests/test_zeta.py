@@ -260,6 +260,14 @@ def test_concrete_verdict_checks_the_signature_class(monkeypatch):
     assert zs.sdet_report(4, 2, "concrete")["equal"] is False
 
 
+def test_concrete_verdict_compares_the_formal_polynomial(monkeypatch):
+    # ph_2 vanishes at the 4-generator demo's values, so only a comparison of
+    # the polynomials themselves can catch a formal sdet off by ph_2
+    wrong = cs.l_class_in_ph(2) + cs.GradedPolynomial.generator(2, 2, "ph")
+    monkeypatch.setattr(zs, "sdet_formal", lambda n, K, pp=False: wrong)
+    assert zs.sdet_report(4, 2, "concrete")["equal"] is False
+
+
 def test_formal_log_pf_antiperiodic_exponent():
     # the Pfaffian exponent over half-integer modes: coefficient of ph_k is
     # -(1/k) 4^k (2k)! lambda_over_2pii(2k)
