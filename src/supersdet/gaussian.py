@@ -95,9 +95,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / norm,
         )
 
-    def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational.coerce(other) / self
-
     def __pow__(self, n: int) -> "GaussianRational":
         if n < 0:
             return ONE / (self ** (-n))
@@ -109,9 +106,6 @@ class GaussianRational:
             base = base * base
             n >>= 1
         return out
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def is_rational(self) -> bool:
         return self.im == 0

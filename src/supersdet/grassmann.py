@@ -158,12 +158,6 @@ class GrassmannElement:
             return parities.pop()
         return None
 
-    def body(self) -> "GrassmannElement":
-        """The part with no odd generators (the 'numerical' shadow)."""
-        return GrassmannElement(
-            {k: c for k, c in self.terms.items() if not k[0]}
-        )
-
     def odd_generators(self) -> set:
         union = 0
         for mask, _even in self.terms:

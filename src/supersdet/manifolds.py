@@ -141,12 +141,7 @@ def product_manifold(M: PontryaginData, N: PontryaginData) -> PontryaginData:
             right = tuple(sorted((b for _a, b in assignment if b), reverse=True))
             if sum(left) != wm or sum(right) != wn:
                 continue
-            lval = M.numbers.get(left)
-            rval = N.numbers.get(right)
-            if lval is None or rval is None:
-                lval = M.number(left) if lval is None else lval
-                rval = N.number(right) if rval is None else rval
-            total += lval * rval
+            total += M.number(left) * N.number(right)
         numbers[partition] = total
     return PontryaginData(
         name=f"{M.name}x{N.name}",
@@ -157,8 +152,6 @@ def product_manifold(M: PontryaginData, N: PontryaginData) -> PontryaginData:
 
 
 def partitions_of(w: int) -> List[Partition]:
-    if w == 0:
-        return [()]
     out: List[Partition] = []
 
     def rec(remaining: int, cap: int, acc: List[int]):
@@ -401,6 +394,8 @@ def load_manifold(document: dict) -> ManifoldLike:
             raise ManifoldParseError(f"document.basis[{i}].name: expected a string")
         if not _is_integer(entry["degree"]):
             raise ManifoldParseError(f"document.basis[{i}].degree: expected an integer")
+        if any(entry["name"] == name for name, _d in basis):
+            raise ManifoldParseError(f"document.basis[{i}].name: repeats {entry['name']!r}")
         basis.append((entry["name"], entry["degree"]))
 
     def parse_element(raw, path: str) -> Element:
@@ -425,8 +420,12 @@ def load_manifold(document: dict) -> ManifoldLike:
             raise ManifoldParseError(f"document.products[{i}]: expected {{left, right, result}}")
         if not (isinstance(entry["left"], str) and isinstance(entry["right"], str)):
             raise ManifoldParseError(f"document.products[{i}]: left and right must be strings")
-        products[(entry["left"], entry["right"])] = parse_element(
-            entry["result"], f"document.products[{i}].result")
+        pair = (entry["left"], entry["right"])
+        if pair in products:
+            raise ManifoldParseError(f"document.products[{i}]: repeats {pair[0]}*{pair[1]}")
+        if (pair[0], 0) in basis or (pair[1], 0) in basis:
+            raise ManifoldParseError(f"document.products[{i}]: lists a product with the unit")
+        products[pair] = parse_element(entry["result"], f"document.products[{i}].result")
 
     fundamental = document.get("fundamental")
     if not isinstance(fundamental, str):

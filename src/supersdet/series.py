@@ -245,10 +245,6 @@ class GradedPolynomial:
         return sum((i + 1) * e for i, e in enumerate(exps))
 
     @staticmethod
-    def zero(nvars: int, basis: str) -> "GradedPolynomial":
-        return GradedPolynomial(nvars, basis)
-
-    @staticmethod
     def one(nvars: int, basis: str) -> "GradedPolynomial":
         return GradedPolynomial(nvars, basis, {tuple([0] * nvars): Fraction(1)})
 
@@ -335,24 +331,22 @@ class GradedPolynomial:
     def substitute(self, images: Sequence["GradedPolynomial"]) -> "GradedPolynomial":
         """Replace generator g_i by images[i-1]; images share one context,
         which is the context of the result."""
-        result = self.evaluate(images)
-        if isinstance(result, GradedPolynomial):
-            return result
-        return result * GradedPolynomial.one(images[0].nvars, images[0].basis)
+        return self.evaluate(images)
 
     def evaluate(self, values: Sequence) -> object:
         """Evaluate at given generator values (anything with ring operations,
-        e.g. Fractions or even Grassmann elements)."""
+        e.g. Fractions or even Grassmann elements); the result has the type
+        of the values."""
         if len(values) != self.nvars:
             raise ValueError("need one value per generator")
-        total = None
+        total = 0 * values[0]
         for exps, c in self.coeffs.items():
             term = c
             for i, e in enumerate(exps):
                 for _ in range(e):
                     term = term * values[i]
-            total = term if total is None else total + term
-        return total if total is not None else Fraction(0)
+            total = total + term
+        return total
 
     def to_json(self) -> List[dict]:
         out = []
@@ -408,7 +402,7 @@ def elementary_in_ph(k: int, nvars: int) -> GradedPolynomial:
         raise ValueError("k out of range")
     if k == 0:
         return GradedPolynomial.one(nvars, "ph")
-    acc = GradedPolynomial.zero(nvars, "ph")
+    acc = GradedPolynomial(nvars, "ph")
     for i in range(1, k + 1):
         s_i = Fraction((-1) ** (i - 1) * math.factorial(2 * i)) \
             * GradedPolynomial.generator(i, nvars, "ph")
@@ -462,7 +456,7 @@ def multiplicative_sequence(Q: TruncatedSeries, K: int) -> List[GradedPolynomial
     if Q.order < 2 * K:
         raise ValueError(f"series order {Q.order} too small for K={K}")
     logQ = Q.log()
-    total_log = GradedPolynomial.zero(K, "p")
+    total_log = GradedPolynomial(K, "p")
     for k in range(1, K + 1):
         c = logQ.coefficient(2 * k)
         if c:

@@ -58,18 +58,13 @@ def regularized_product_power(n: int) -> RPower:
 
     The sequence zeta-function is (r/2pi)^{ns} zeta(ns); differentiating at
     s = 0 with zeta(0) = -1/2 and zeta'(0) = -log(2pi)/2 leaves r^{n/2}: the
-    log(2pi) contributions cancel exactly, which is asserted, not assumed.
+    log(2pi) coefficient is n zeta(0) + n/2 = 0 for every n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     zeta_at_0 = Fraction(-1, 2)
     # -zeta_seq'(0) = -(n log r) zeta(0) + (n log 2pi) zeta(0) - n zeta'(0)
-    log_r_coefficient = -n * zeta_at_0
-    # zeta'(0) = -(1/2) log 2pi contributes -n * (-1/2) = +n/2 in log(2pi)
-    log_two_pi_coefficient = n * zeta_at_0 + Fraction(n, 2)
-    if log_two_pi_coefficient != 0:
-        raise AssertionError("2 pi contribution failed to cancel")
-    return RPower(Fraction(1), log_r_coefficient)
+    return RPower(Fraction(1), -n * zeta_at_0)
 
 
 def trace_inv_power(bc: BoundaryCondition, two_k: int) -> RPower:
@@ -98,33 +93,35 @@ class CurvatureMatrix:
     denominators of all Q(i) coefficients are cleared once, R = R_int / d,
     so an entry is a dict {(mask, even monomial): (re, im)} over the
     Gaussian integers; a trace is divided by d^m when it leaves the kernel.
+    The entries are checked in this form: antisymmetric, nilpotent (no key
+    has mask 0) and even (every mask has an even bit count).
     """
 
     def __init__(self, entries: Sequence[Sequence[GrassmannElement]]):
         n = len(entries)
-        rows = [tuple(GrassmannElement.coerce(e) for e in row) for row in entries]
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if not (rows[i][j] + rows[j][i]).is_zero():
-                    raise ValueError(f"matrix not antisymmetric at ({i},{j})")
-                if not rows[i][j].body().is_zero():
-                    raise ValueError(f"entry ({i},{j}) is not nilpotent")
-                if not rows[i][j].is_zero() and rows[i][j].parity() != 0:
-                    raise ValueError(f"entry ({i},{j}) is not even")
-        self.n = n
-        self._generators = len(set().union(*(e.odd_generators() for row in rows for e in row)))
+        rows = [[GrassmannElement.coerce(e).terms for e in row] for row in entries]
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
         d = math.lcm(*(part.denominator for row in rows for e in row
-                       for c in e.terms.values() for part in (c.re, c.im)))
+                       for c in e.values() for part in (c.re, c.im)))
+        R = tuple(tuple({key: (int(c.re * d), int(c.im * d)) for key, c in e.items()}
+                        for e in row) for row in rows)
+        union = 0
+        for i, row in enumerate(R):
+            for j, entry in enumerate(row):
+                if entry != {key: (-re, -im) for key, (re, im) in R[j][i].items()}:
+                    raise ValueError(f"matrix not antisymmetric at ({i},{j})")
+                if any(not mask for mask, _even in entry):
+                    raise ValueError(f"entry ({i},{j}) is not nilpotent")
+                if any(mask.bit_count() & 1 for mask, _even in entry):
+                    raise ValueError(f"entry ({i},{j}) is not even")
+                for mask, _even in entry:
+                    union |= mask
+        self.n = n
+        self._generators = union.bit_count()
         self._denominator = d
-
-        def integral(e: GrassmannElement) -> dict:
-            return {key: (int(c.re * d), int(c.im * d)) for key, c in e.terms.items()}
-
         # R_int, R_int^2, ...: built on demand and shared by every trace
-        self._powers = [tuple(tuple(integral(e) for e in row) for row in rows)]
+        self._powers = [R]
 
     def matrix_power_trace(self, m: int) -> GrassmannElement:
         """Tr(R^m).  The powers of R are built once per matrix, one product at
@@ -153,9 +150,10 @@ class CurvatureMatrix:
         return (I ** (2 * k)) * even("r", 2 * k) * tr
 
     def max_relevant_k(self) -> int:
-        """Traces of order beyond the generator count vanish; cap the sums."""
-        # each R factor contributes at least two odd generators
-        return max(1, self._generators // 2)
+        """The largest k with Tr(R^{2k}) possibly nonzero; caps the sums."""
+        # each R factor contributes at least two odd generators, so a term
+        # of Tr(R^{2k}) holds 4k of them
+        return max(1, self._generators // 4)
 
 
 def _matmul(a, b):
@@ -200,8 +198,6 @@ class FormalCurvature:
         self.K = K
 
     def scaled_trace(self, k: int) -> GradedPolynomial:
-        if k > self.K:
-            return GradedPolynomial.zero(self.K, "ph")
         coeff = 2 * Fraction(math.factorial(2 * k)) * _ROOT_SCALE_SQ ** k
         return coeff * GradedPolynomial.generator(k, self.K, "ph")
 
@@ -267,7 +263,7 @@ class ZetaFactor:
 
 def _zero_log(curvature: CurvatureLike):
     if isinstance(curvature, FormalCurvature):
-        return GradedPolynomial.zero(curvature.K, "ph")
+        return GradedPolynomial(curvature.K, "ph")
     return GrassmannElement()
 
 
@@ -393,8 +389,7 @@ def substitute_ph(poly: GradedPolynomial, values: Sequence[GrassmannElement]) ->
     """Evaluate a ph-basis polynomial at concrete Grassmann values."""
     if poly.basis != "ph":
         raise ValueError("expected a ph-basis polynomial")
-    result = poly.evaluate([GrassmannElement.coerce(v) for v in values])
-    return GrassmannElement.coerce(result)
+    return poly.evaluate([GrassmannElement.coerce(v) for v in values])
 
 
 def sdet_report(n: int, K: int, mode: str = "formal", pp: bool = False) -> dict:

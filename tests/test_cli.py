@@ -121,10 +121,17 @@ def _cp2_with(change):
     ({"name": "bogus", "dimension": 8, "kind": "pontryagin_numbers", "signature": 1,
       "pontryagin_numbers": {"p2": 10}}, ["lgenus"]),
     (_cp2_with(lambda d: d.update(name=True)), ["lgenus"]),
+    (_cp2_with(lambda d: d["basis"].append({"name": "h", "degree": 2})), ["lgenus"]),
+    (_cp2_with(lambda d: d["products"].append(
+        {"left": "h", "right": "h", "result": [{"basis": "h2", "coeff": 2}]})),
+     ["pushforward", "--class", "h^2"]),
+    (_cp2_with(lambda d: d["products"].append(
+        {"left": "1", "right": "1", "result": [{"basis": "1", "coeff": 3}]})), ["lgenus"]),
 ], ids=["den-zero", "num-string", "num-bool", "classes-list", "basis-name-list",
         "products-int", "product-left-list", "result-basis-list", "class-den-zero",
         "dimension-bool", "basis-degree-bool", "numbers-p0", "numbers-repeated-partition",
-        "classes-p0", "numbers-zero-exponent", "numbers-missing-partition", "name-bool"])
+        "classes-p0", "numbers-zero-exponent", "numbers-missing-partition", "name-bool",
+        "basis-name-repeated", "products-pair-repeated", "products-unit-operand"])
 def test_malformed_manifold_input_is_a_usage_error(capsys, tmp_path, document, argv):
     if document is not None:
         path = tmp_path / "m.json"
@@ -133,6 +140,39 @@ def test_malformed_manifold_input_is_a_usage_error(capsys, tmp_path, document, a
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("supersdet: ")
+
+
+@pytest.mark.parametrize("document, path", [
+    (_cp2_with(lambda d: d["basis"].append({"name": "h", "degree": 2})),
+     "document.basis[3].name"),
+    (_cp2_with(lambda d: d["products"].append(
+        {"left": "h", "right": "h", "result": [{"basis": "h2", "coeff": 2}]})),
+     "document.products[1]"),
+    (_cp2_with(lambda d: d["products"].insert(
+        0, {"left": "h", "right": "1", "result": [{"basis": "h", "coeff": 1}]})),
+     "document.products[0]"),
+], ids=["basis-name-repeated", "products-pair-repeated", "products-unit-operand"])
+def test_ring_model_rejection_names_the_document_path(capsys, tmp_path, document, path):
+    target = tmp_path / "m.json"
+    target.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "lgenus", "--manifold", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"supersdet: {path}: ")
+
+
+def test_fraction_numbers_load_like_integers(capsys, tmp_path):
+    def fractions(d):
+        d["signature"] = {"num": 1, "den": 1}
+        d["pontryagin_classes"]["p1"][0]["coeff"] = {"num": 3, "den": 1}
+
+    outputs = []
+    for document in (_cp2_with(lambda d: None), _cp2_with(fractions)):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(document))
+        outputs.append([run_cli(capsys, *argv, "--manifold", str(path), "--format", "json")
+                        for argv in (["lgenus"], ["pushforward", "--class", "1"])])
+    assert outputs[1] == outputs[0]
+    assert [code for code, _out, _err in outputs[0]] == [0, 0]
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -156,6 +196,16 @@ def test_zeta_subcommand(capsys):
     assert payload["coefficient"] == {"num": -1, "den": 12}
     code, out, _ = run_cli(capsys, "zeta", "--what", "trace", "--bc", "antiperiodic", "--k", "1")
     assert code == 0 and "-1/4" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--what", "product"], "supersdet zeta --what product needs --n"),
+    (["--what", "trace"], "supersdet zeta --what trace needs --k"),
+], ids=["product-without-n", "trace-without-k"])
+def test_zeta_missing_argument_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "zeta", *argv)
+    assert code == 2
+    assert out == "" and err == message + "\n"
 
 
 def test_pushforward_subcommand(capsys):

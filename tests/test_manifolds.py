@@ -181,6 +181,11 @@ def test_shipped_numbers_must_match_ring():
         model.pontryagin_data()
 
 
+def test_partitions_of():
+    assert mf.partitions_of(0) == [()]
+    assert mf.partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
 def test_partition_key_parsing():
     assert mf.parse_partition_key("p1") == (1,)
     assert mf.parse_partition_key("p1^2") == (1, 1)

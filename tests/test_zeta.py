@@ -183,13 +183,37 @@ def test_demo_curvature_is_wellformed():
 
 
 def test_curvature_matrix_validation():
-    with pytest.raises(ValueError):
+    pq = odd("p") * odd("q")
+    with pytest.raises(ValueError, match=r"matrix must be square"):
+        zs.CurvatureMatrix([[scalar(0), pq]])
+    with pytest.raises(ValueError, match=r"entry \(0,1\) is not nilpotent"):
         zs.CurvatureMatrix([[scalar(0), scalar(1)], [scalar(-1), scalar(0)]])  # body
-    with pytest.raises(ValueError):
-        zs.CurvatureMatrix([[scalar(0), odd("p") * odd("q")],
-                            [odd("p") * odd("q"), scalar(0)]])  # not antisymmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"matrix not antisymmetric at \(0,1\)"):
+        zs.CurvatureMatrix([[scalar(0), pq], [pq, scalar(0)]])
+    with pytest.raises(ValueError, match=r"entry \(0,1\) is not even"):
         zs.CurvatureMatrix([[scalar(0), odd("p")], [-odd("p"), scalar(0)]])  # odd entry
+    mixed = pq + odd("s")
+    with pytest.raises(ValueError, match=r"entry \(0,1\) is not even"):
+        zs.CurvatureMatrix([[scalar(0), mixed], [-mixed, scalar(0)]])
+    # an odd term listed before the body term: the body is still reported
+    souled = odd("p") + 1
+    with pytest.raises(ValueError, match=r"entry \(0,1\) is not nilpotent"):
+        zs.CurvatureMatrix([[scalar(0), souled], [-souled, scalar(0)]])
+
+
+def test_curvature_matrix_with_denominators_loads():
+    psi = [odd(f"psi{a}") for a in range(10)]
+    w = GaussianRational(1, 2) / 3 * psi[0] * psi[1] + Fraction(1, 5) * psi[2] * psi[3]
+    v = GaussianRational(0, Fraction(-2, 7)) * psi[4] * psi[5] * psi[6] * psi[7] * even("x") \
+        + psi[8] * psi[9]
+    zero = scalar(0)
+    matrix = zs.CurvatureMatrix([[zero, w, v], [-w, zero, w], [-v, -w, zero]])
+    g = 10
+    assert matrix.max_relevant_k() == max(1, g // 4) == 2
+    assert matrix.matrix_power_trace(2 * matrix.max_relevant_k() + 2).is_zero()
+    K = matrix.max_relevant_k()
+    phs = [zs.curvature_to_ph(matrix, k) for k in range(1, K + 1)]
+    assert zs.sdet_concrete(matrix) == zs.substitute_ph(zs.sdet_formal(3, K), phs)
 
 
 def test_concrete_equals_formal_under_substitution():
