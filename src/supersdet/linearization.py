@@ -29,6 +29,10 @@ the overall fiber orientation of the odd integral.  G enters quadratically,
 so the Lagrangian fixes the coefficient of the top component only up to the
 sign of G.  None of these conventions influence regularized determinants,
 which only see even powers of R.
+
+The boundary condition of each component is read off the holonomy of the PA
+circle, which fixes theta1 and flips theta2; verify compares the result with
+zeta.PA_BOUNDARY, the one table the superdeterminant reads.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import I
 from .grassmann import GrassmannElement, bit, even, names, odd, scalar, sign
-from .zeta import BoundaryCondition, KineticOperator
+from .zeta import BoundaryCondition
 
 G = GrassmannElement
 
@@ -207,7 +211,6 @@ def derive_boundary_conditions() -> Dict[str, BoundaryCondition]:
 class LinearizedAction:
     dim: int
     lagrangian: G                      # normal form modulo total dt
-    operators: Tuple[KineticOperator, KineticOperator, KineticOperator]
     boundary_conditions: Dict[str, BoundaryCondition]
 
 
@@ -229,15 +232,16 @@ def quadratic_form(n: int) -> G:
 
 
 def expand_linearized_action(n: int) -> LinearizedAction:
-    """Expand the linearized action in components and identify the kinetic
-    operators.
+    """Expand the linearized action in components and read off the boundary
+    conditions.
 
     The Berezin integral of < Dc_1 dnu, Dc_2 dnu > is reduced to its total-
-    derivative normal form.  The kinetic blocks are those of
-    `quadratic_form`: D_a (periodic), D_eta1 (periodic) and D_eta2
-    (antiperiodic), with boundary conditions read off the holonomy.  That the
-    Lagrangian equals both the displayed shape and that quadratic form is
-    the verify suite's "linearized action expansion" check.
+    derivative normal form, whose kinetic blocks are those of
+    `quadratic_form`; the boundary conditions come from the holonomy
+    (`derive_boundary_conditions`).  That the Lagrangian equals both the
+    displayed shape and that quadratic form, and that the conditions agree
+    with the table zeta.PA_BOUNDARY the superdeterminant reads, is the
+    verify suite's "linearized action expansion" check.
     """
     if n < 1:
         raise ValueError("fiber dimension must be positive")
@@ -246,10 +250,7 @@ def expand_linearized_action(n: int) -> LinearizedAction:
     # fiber orientation of the odd integral: the sign making the bosonic
     # kinetic term positive (the theta-measure is ordered accordingly)
     lagrangian = normal_form_dt(-berezin_integrate(integrand))
-    bcs = derive_boundary_conditions()
-    ops = tuple(KineticOperator(kind, n, bcs[base])
-                for kind, base in (("D_a", "a"), ("D_eta1", "eta1"), ("D_eta2", "eta2")))
-    return LinearizedAction(n, lagrangian, ops, bcs)
+    return LinearizedAction(n, lagrangian, derive_boundary_conditions())
 
 
 def displayed_lagrangian(n: int) -> G:

@@ -483,4 +483,6 @@ def l_class_in_ph(K: int) -> GradedPolynomial:
     """The total signature class rewritten in Pontryagin-character variables
     through the Newton conversion; used as the comparison target for the
     superdeterminant."""
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     return pontryagin_to_powersums(K)(l_class_total(K))

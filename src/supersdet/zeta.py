@@ -3,20 +3,22 @@ and their combination into the superdeterminant.
 
 The three operators act on sections over a circle of symbolic radius r:
 
-    D_a    = Id_n d^2/dt^2 - i R d/dt     (periodic, constants removed)
-    D_eta1 = Id_n d/dt                    (periodic, constants removed)
-    D_eta2 = Id_n d/dt + i R              (antiperiodic)
+    D_a    = Id_n d^2/dt^2 - i R d/dt
+    D_eta1 = Id_n d/dt
+    D_eta2 = Id_n d/dt + i R
 
-with R an antisymmetric matrix of even nilpotent entries.  Every regularized
-value is an exact object: a rational power of r times the exponential of a
-terminating series.  Free parts are assigned by the zeta-function of the
-integer mode sequence {(2 pi k / r)^n} (exponent n/2 in r, the 2 pi
-contribution cancelling identically); mode sums of inverse powers collapse
-to Bernoulli rationals.  Two curvature backends share the pipeline: a formal
-one whose scaled traces are tied to Pontryagin-character generators, and a
-concrete Grassmann-matrix one.  Trace normalization is calibrated so that the
-formal variables pair with classical Pontryagin classes under the Newton
-conversion (see curvature_to_ph).
+with R an antisymmetric matrix of even nilpotent entries.  PA_BOUNDARY holds
+their boundary conditions; on periodic modes the constants are removed.
+Every regularized value is an exact object: a rational power of r times the
+exponential of a terminating series.  Free parts are assigned by the
+zeta-function of the integer mode sequence {(2 pi k / r)^n} (exponent n/2 in
+r, the 2 pi contribution cancelling identically); mode sums of inverse powers
+collapse to Bernoulli rationals.  The curvature parts are Fredholm
+determinants, which `sdet` combines in one formula.  Two curvature backends
+share it: a formal one whose scaled traces are tied to Pontryagin-character
+generators, and a concrete Grassmann-matrix one.  Trace normalization is
+calibrated so that the formal variables pair with classical Pontryagin
+classes under the Newton conversion (see curvature_to_ph).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 from .gaussian import GaussianRational, I
 from .grassmann import GrassmannElement, _mul_even, even, odd, scalar, sign
@@ -36,13 +38,19 @@ from .series import (
     zeta_over_2pii,
 )
 
-# classical root = half the spectral root; quadratic in the trace weight
-_ROOT_SCALE_SQ = Fraction(4)
-
 
 class BoundaryCondition(Enum):
     PERIODIC = "periodic"
     ANTIPERIODIC = "antiperiodic"
+
+
+# the boundary condition of each kinetic block on the PA super circle; the
+# all-periodic (PP) variant makes eta2 periodic too
+PA_BOUNDARY = {
+    "a": BoundaryCondition.PERIODIC,
+    "eta1": BoundaryCondition.PERIODIC,
+    "eta2": BoundaryCondition.ANTIPERIODIC,
+}
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,17 @@ def regularized_product_power(n: int) -> RPower:
     zeta_at_0 = Fraction(-1, 2)
     # -zeta_seq'(0) = -(n log r) zeta(0) + (n log 2pi) zeta(0) - n zeta'(0)
     return RPower(Fraction(1), -n * zeta_at_0)
+
+
+def free_r_exponent(n: int) -> Fraction:
+    """The radius exponent of the free parts of pf(D_eta1) pf(D_eta2) /
+    det(D_a)^{1/2} in fiber dimension n.  A first-order block has the paired
+    modes' product r^n, and its Pfaffian is det^{1/2}; the second-order block
+    has the squared product r^{2n}.  The sum vanishes for every n, which the
+    verify suite's radius cancellation check witnesses."""
+    pf = n * regularized_product_power(2).r_exponent / 2
+    det = n * regularized_product_power(4).r_exponent
+    return 2 * pf - det / 2
 
 
 def trace_inv_power(bc: BoundaryCondition, two_k: int) -> RPower:
@@ -188,18 +207,25 @@ def _matmul(a, b):
     return tuple(out)
 
 
+def _ph_scale(k: int) -> int:
+    """The ph dictionary: (i r)^{2k} Tr(R^{2k}) = 2 (2k)! 4^k ph_k.  The 4^k
+    is the square of the classical-root rescaling (the classical root is half
+    the spectral root)."""
+    return 2 * math.factorial(2 * k) * 4 ** k
+
+
 class FormalCurvature:
     """Formal backend: the scaled trace (i r)^{2k} Tr(R^{2k}) is declared to be
-    2 * (2k)! * 4^k * ph_k, tying the trace generators to Pontryagin-character
-    variables normalized against classical Pontryagin classes (the 4^k is the
-    square of the classical-root rescaling)."""
+    _ph_scale(k) * ph_k, tying the trace generators to Pontryagin-character
+    variables normalized against classical Pontryagin classes."""
 
     def __init__(self, K: int):
+        if K < 1:
+            raise ValueError(f"K must be >= 1, got {K}")
         self.K = K
 
     def scaled_trace(self, k: int) -> GradedPolynomial:
-        coeff = 2 * Fraction(math.factorial(2 * k)) * _ROOT_SCALE_SQ ** k
-        return coeff * GradedPolynomial.generator(k, self.K, "ph")
+        return _ph_scale(k) * GradedPolynomial.generator(k, self.K, "ph")
 
     def max_relevant_k(self) -> int:
         return self.K
@@ -209,155 +235,64 @@ CurvatureLike = Union[CurvatureMatrix, FormalCurvature]
 
 
 def curvature_to_ph(matrix: CurvatureMatrix, k: int) -> GrassmannElement:
-    """The Pontryagin-character value of a concrete curvature matrix:
-    (i r / 2)^{2k} (1/2) Tr(R^{2k}) / (2k)!.
+    """The Pontryagin-character value of a concrete curvature matrix: its
+    scaled trace read through the formal dictionary, (i r / 2)^{2k} (1/2)
+    Tr(R^{2k}) / (2k)!.
 
     The /2^{2k} relative to the spectral normalization converts to classical
     root units, so that substituting these values for ph_k in a formal result
     reproduces the concrete pipeline exactly.
     """
-    tr = matrix.matrix_power_trace(2 * k)
-    coeff = (I ** (2 * k)) * Fraction(1, 2) / (_ROOT_SCALE_SQ ** k * math.factorial(2 * k))
-    return coeff * even("r", 2 * k) * tr
+    return matrix.scaled_trace(k) * Fraction(1, _ph_scale(k))
 
 
 # ---------------------------------------------------------------------------
-# kinetic operators
+# the superdeterminant
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KineticOperator:
-    """Symbolic description of one block of the linearized kinetic operator.
-
-    kind: "D_a" (second order, bosonic), "D_eta1" or "D_eta2" (first order,
-    fermionic).  The sign of the i*R term is not recorded: regularized values
-    only see even trace powers.
-    """
-
-    kind: str
-    dim: int
-    bc: BoundaryCondition
-    curvature: Optional[CurvatureLike] = None
-
-
-def pa_kinetic_operators(n: int, curvature: Optional[CurvatureLike] = None,
-                         pp: bool = False) -> Tuple[KineticOperator, KineticOperator, KineticOperator]:
-    """The operator triple on periodic-antiperiodic circles (or the all-periodic
-    variant when pp=True)."""
-    eta2_bc = BoundaryCondition.PERIODIC if pp else BoundaryCondition.ANTIPERIODIC
-    return (
-        KineticOperator("D_a", n, BoundaryCondition.PERIODIC, curvature),
-        KineticOperator("D_eta1", n, BoundaryCondition.PERIODIC, None),
-        KineticOperator("D_eta2", n, eta2_bc, curvature),
-    )
-
-
-@dataclass
-class ZetaFactor:
-    """A regularized determinant or Pfaffian in exact exponential form:
-    r^{r_exponent} * exp(log_part)."""
-
-    r_exponent: Fraction
-    log_part: Union[GradedPolynomial, GrassmannElement, None]
-
-
-def _zero_log(curvature: CurvatureLike):
-    if isinstance(curvature, FormalCurvature):
-        return GradedPolynomial(curvature.K, "ph")
-    return GrassmannElement()
-
 
 def fredholm_log_det(curvature: CurvatureLike, bc: BoundaryCondition):
     """log of the Fredholm determinant det(Id - i R (d/dt)^{-1}) on the given
     mode set: -sum_{k>=1} Tr((iR)^{2k}) Tr((d/dt)^{-2k}) / (2k).  The odd
     orders vanish: the entries are even, so they commute, and antisymmetry
     gives Tr(R^m) = Tr((R^m)^T) = (-1)^m Tr(R^m)."""
-    acc = _zero_log(curvature)
-    for k in range(1, curvature.max_relevant_k() + 1):
-        scaled = curvature.scaled_trace(k)
-        if scaled.is_zero():
+    scaled = [curvature.scaled_trace(k) for k in range(1, curvature.max_relevant_k() + 1)]
+    acc = 0 * scaled[0]
+    for k, trace in enumerate(scaled, 1):
+        if trace.is_zero():
             # a zero trace does not end the sum: Tr(R^2) can vanish while
             # Tr(R^4) does not; past the first zero power the traces are free
             continue
         tau = trace_inv_power(bc, 2 * k)
         # (i r)^{2k} Tr(R^{2k}) carries r^{+2k}; tau's rational part carries the
         # matching r^{-2k} once the mode trace 2 r^{2k} Z_k is divided by r^{2k}
-        acc = acc + scaled * Fraction(-1, 2 * k) * tau.coefficient
+        acc = acc + trace * Fraction(-1, 2 * k) * tau.coefficient
     return acc
 
 
-def fredholm_log_pf(curvature: CurvatureLike, bc: BoundaryCondition):
-    """log of the Fredholm Pfaffian pf(Id + i R (d/dt)^{-1}): the alternating
-    half-sum (1/2) sum_k (-1)^{k+1} Tr(...)/k, which on surviving even orders
-    is exactly half of fredholm_log_det."""
-    return fredholm_log_det(curvature, bc) * Fraction(1, 2)
+def sdet(curvature: CurvatureLike, pp: bool = False) -> Union[GradedPolynomial, GrassmannElement]:
+    """The zeta-superdeterminant pf(D_eta1) pf(D_eta2) / det(D_a)^{1/2}, with
+    the boundary conditions of PA_BOUNDARY (eta2 periodic too when pp).
 
-
-def zeta_det(op: KineticOperator) -> ZetaFactor:
-    """Zeta-regularized determinant of the bosonic block D_a: free part r^{2n}
-    times the Fredholm factor over periodic modes."""
-    if op.kind != "D_a":
-        raise ValueError("zeta_det applies to the second-order block D_a")
-    free = regularized_product_power(4)  # per fiber dimension: paired modes, squared
-    log_part = None
-    if op.curvature is not None:
-        log_part = fredholm_log_det(op.curvature, op.bc)
-    return ZetaFactor(op.dim * free.r_exponent, log_part)
-
-
-def zeta_pf(op: KineticOperator) -> ZetaFactor:
-    """Zeta-regularized Pfaffian of a first-order fermionic block: free part
-    r^{n/2} times the Fredholm Pfaffian factor."""
-    if op.kind not in ("D_eta1", "D_eta2"):
-        raise ValueError("zeta_pf applies to the first-order blocks")
-    free = regularized_product_power(2)  # paired first-order modes per dimension
-    log_part = None
-    if op.curvature is not None:
-        log_part = fredholm_log_pf(op.curvature, op.bc)
-    return ZetaFactor(op.dim * free.r_exponent / 2, log_part)  # Pfaffian is det^{1/2}
-
-
-def sdet(ops: Tuple[KineticOperator, KineticOperator, KineticOperator]
-         ) -> Union[GradedPolynomial, GrassmannElement]:
-    """The zeta-superdeterminant pf(D_eta1) pf(D_eta2) / det(D_a)^{1/2}.
-
-    The square root is exponent-halving on the exact exponential form (the
-    determinant's positive root).  The radius powers cancel identically,
-    n/2 + n/2 - (1/2)(2n) = 0, so the value is the exponential of the log
-    parts alone; the verify suite's radius cancellation check witnesses it.
+    A Pfaffian is det^{1/2}, D_eta1 carries no curvature, and D_a =
+    (d/dt)(d/dt - i R) has the Fredholm factor of a first-order block, so
+    the value is exp((1/2)(log det_F(D_eta2) - log det_F(D_a))).  The radius
+    powers of the free parts cancel (free_r_exponent).
     """
-    d_a, d_eta1, d_eta2 = ops
-    if not (d_a.kind == "D_a" and d_eta1.kind == "D_eta1" and d_eta2.kind == "D_eta2"):
-        raise ValueError("operator triple must be (D_a, D_eta1, D_eta2)")
-    if not (d_a.dim == d_eta1.dim == d_eta2.dim):
-        raise ValueError("inconsistent fiber dimensions")
-    det_a = zeta_det(d_a)
-    pf_1 = zeta_pf(d_eta1)
-    pf_2 = zeta_pf(d_eta2)
-
-    log_total = None
-    for factor, weight in ((pf_1, Fraction(1)), (pf_2, Fraction(1)),
-                           (det_a, Fraction(-1, 2))):
-        if factor.log_part is None:
-            continue
-        part = factor.log_part * weight
-        log_total = part if log_total is None else log_total + part
-
-    if log_total is None:
-        return scalar(1)
+    eta2 = BoundaryCondition.PERIODIC if pp else PA_BOUNDARY["eta2"]
+    log_total = (fredholm_log_det(curvature, eta2)
+                 - fredholm_log_det(curvature, PA_BOUNDARY["a"])) * Fraction(1, 2)
     return log_total.exp()
 
 
 def sdet_formal(n: int, K: int, pp: bool = False) -> GradedPolynomial:
-    """Formal-mode superdeterminant as a graded polynomial in ph_1..ph_K."""
-    ops = pa_kinetic_operators(n, FormalCurvature(K), pp=pp)
-    return sdet(ops)  # type: ignore[return-value]
+    """Formal-mode superdeterminant as a graded polynomial in ph_1..ph_K.  The
+    fiber dimension n enters only the free parts, which cancel."""
+    return sdet(FormalCurvature(K), pp)  # type: ignore[return-value]
 
 
 def sdet_concrete(matrix: CurvatureMatrix, pp: bool = False) -> GrassmannElement:
     """Concrete-mode superdeterminant for a Grassmann curvature matrix."""
-    ops = pa_kinetic_operators(matrix.n, matrix, pp=pp)
-    return sdet(ops)  # type: ignore[return-value]
+    return sdet(matrix, pp)  # type: ignore[return-value]
 
 
 def sdet_matches_l_class(n: int, K: int) -> bool:

@@ -86,10 +86,9 @@ def test_criterion_2_berezin_expansion():
             result = lin.expand_linearized_action(n)
             display = lin.normal_form_dt(lin.displayed_lagrangian(n))
             assert (result.lagrangian - display).is_zero()
-            assert [op.kind for op in result.operators] == ["D_a", "D_eta1", "D_eta2"]
-            assert result.operators[0].bc == zs.BoundaryCondition.PERIODIC
-            assert result.operators[1].bc == zs.BoundaryCondition.PERIODIC
-            assert result.operators[2].bc == zs.BoundaryCondition.ANTIPERIODIC
+            assert {block: result.boundary_conditions[block] for block in zs.PA_BOUNDARY} \
+                == zs.PA_BOUNDARY
+            assert zs.PA_BOUNDARY["eta2"] == zs.BoundaryCondition.ANTIPERIODIC
             assert result.boundary_conditions["G"] == zs.BoundaryCondition.ANTIPERIODIC
 
 

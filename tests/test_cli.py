@@ -291,6 +291,7 @@ def test_unknown_flag_rejected(capsys):
     (["zeta", "--what", "product", "--n", "-1"], "--n"),
     (["zeta", "--what", "trace", "--k", "0"], "--k"),
     (["lpoly", "--k", "two"], "--k"),
+    (["sdet", "--n", "4", "--k", "0"], "--k"),
 ])
 def test_non_positive_sizes_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:

@@ -3,13 +3,17 @@ the digest recorded for it in benchmarks/digests.json."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from supersdet import cli
 
-DIGESTS = Path(__file__).resolve().parent.parent / "benchmarks" / "digests.json"
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "benchmarks" / "digests.json"
 
 # kept here rather than split from the digest keys: one --class argument has spaces
 COMMANDS = [
@@ -64,3 +68,13 @@ def test_cli_output_matches_recorded_digest(argv, digests, capsys):
 def test_every_recorded_command_is_checked(digests):
     recorded = {key for key in digests if key.startswith("cli_batch:")}
     assert recorded == {"cli_batch:" + " ".join(argv + ["--format", "json"]) for argv in COMMANDS}
+
+
+def test_verify_digest_holds_under_optimize(digests):
+    # python -O strips assert statements: no check may depend on one
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-m", "supersdet.cli", "verify", "--format", "json"],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digests["cli_batch:verify --format json"]

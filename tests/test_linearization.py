@@ -8,7 +8,7 @@ import pytest
 
 from supersdet.grassmann import GrassmannElement, even, odd, scalar
 from supersdet import linearization as lin
-from supersdet.zeta import BoundaryCondition as BC, pa_kinetic_operators
+from supersdet.zeta import BoundaryCondition as BC, PA_BOUNDARY
 
 
 def test_berezin_normalization_and_linearity():
@@ -126,14 +126,9 @@ def test_curved_expansion_matches_displayed_lagrangian(n):
 
 def test_emitted_operators_and_boundary_conditions():
     out = lin.expand_linearized_action(2)
-    kinds = [op.kind for op in out.operators]
-    assert kinds == ["D_a", "D_eta1", "D_eta2"]
-    assert out.operators[0].bc == BC.PERIODIC
-    assert out.operators[1].bc == BC.PERIODIC
-    assert out.operators[2].bc == BC.ANTIPERIODIC
-    reference = pa_kinetic_operators(2)
-    for ours, ref in zip(out.operators, reference):
-        assert (ours.kind, ours.dim, ours.bc) == (ref.kind, ref.dim, ref.bc)
+    assert out.dim == 2
+    assert {block: out.boundary_conditions[block] for block in PA_BOUNDARY} == PA_BOUNDARY
+    assert PA_BOUNDARY == {"a": BC.PERIODIC, "eta1": BC.PERIODIC, "eta2": BC.ANTIPERIODIC}
 
 
 def test_lagrangian_is_quadratic_normal_form():

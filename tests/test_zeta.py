@@ -89,18 +89,9 @@ def test_trace_argument_validation():
 # Fredholm factors
 # ---------------------------------------------------------------------------
 
-def test_fredholm_pf_is_half_det():
-    curvature = zs.FormalCurvature(3)
-    for bc in (BC.PERIODIC, BC.ANTIPERIODIC):
-        det = zs.fredholm_log_det(curvature, bc)
-        pf = zs.fredholm_log_pf(curvature, bc)
-        assert pf * Fraction(2) == det
-
-
 def test_fredholm_zero_curvature():
     matrix = zs.CurvatureMatrix([[scalar(0), scalar(0)], [scalar(0), scalar(0)]])
     assert zs.fredholm_log_det(matrix, BC.PERIODIC).is_zero()
-    assert zs.fredholm_log_pf(matrix, BC.ANTIPERIODIC).is_zero()
 
 
 def test_formal_log_det_exponent():
@@ -117,31 +108,24 @@ def test_formal_log_det_exponent():
 
 
 # ---------------------------------------------------------------------------
-# operator-level values
+# the superdeterminant
 # ---------------------------------------------------------------------------
 
-def test_zeta_pf_free_values():
-    d_a, d_eta1, d_eta2 = zs.pa_kinetic_operators(4, None)
-    assert zs.zeta_pf(d_eta1).r_exponent == Fraction(4, 2)
-    assert zs.zeta_pf(d_eta2).r_exponent == Fraction(4, 2)
-    assert zs.zeta_det(d_a).r_exponent == Fraction(8)
-    with pytest.raises(ValueError):
-        zs.zeta_det(d_eta1)
-    with pytest.raises(ValueError):
-        zs.zeta_pf(d_a)
-
-
-def free_part_sum(ops):
-    """The radius exponent of pf(D_eta1) pf(D_eta2) / det(D_a)^{1/2}."""
-    d_a, d_eta1, d_eta2 = ops
-    return zs.zeta_pf(d_eta1).r_exponent + zs.zeta_pf(d_eta2).r_exponent \
-        - zs.zeta_det(d_a).r_exponent / 2
+def test_free_r_exponent_values(monkeypatch):
+    # pf(D_eta1) and pf(D_eta2) are r^{n/2} each, det(D_a)^{1/2} is r^n
+    assert zs.free_r_exponent(4) == 0
+    # the exponents come from the regularized products: a first-order
+    # product of r^{n} (exponent doubled) leaves r^{n} uncancelled
+    real = zs.regularized_product_power
+    monkeypatch.setattr(zs, "regularized_product_power",
+                        lambda n: zs.RPower(1, 2 * real(n).r_exponent) if n == 2 else real(n))
+    assert zs.free_r_exponent(4) == 4
 
 
 def test_sdet_flat_case_is_one():
-    ops = zs.pa_kinetic_operators(5, None)
-    assert free_part_sum(ops) == 0
-    assert (zs.sdet(ops) - scalar(1)).is_zero()
+    flat = zs.CurvatureMatrix([[scalar(0), scalar(0)], [scalar(0), scalar(0)]])
+    assert zs.sdet_concrete(flat) == 1
+    assert zs.free_r_exponent(5) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -158,6 +142,23 @@ def test_sdet_degree_parts_in_p():
     assert converted.weight_component(2) == Fraction(1, 45) * (7 * p2 - p1 * p1)
 
 
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.integers(1, 16), st.integers(1, 8))
+def test_sdet_formal_is_the_signature_class(n, K):
+    assert zs.sdet_formal(n, K) == cs.l_class_in_ph(K)
+    assert zs.sdet_formal(n, K, pp=True) == cs.GradedPolynomial.one(K, "ph")
+
+
+def test_k_zero_is_rejected():
+    # K = 0 leaves no ph variable to evaluate at; it is an error, not 1
+    with pytest.raises(ValueError, match="K"):
+        cs.l_class_in_ph(0)
+    with pytest.raises(ValueError, match="K"):
+        zs.sdet_report(4, 0)
+    with pytest.raises(ValueError, match="K"):
+        zs.sdet_formal(4, 0)
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_pp_sector_is_one(K):
     assert zs.sdet_formal(4, K, pp=True) == cs.GradedPolynomial.one(K, "ph")
@@ -165,7 +166,7 @@ def test_pp_sector_is_one(K):
 
 def test_r_powers_cancel_for_all_dimensions():
     for n in range(1, 9):
-        assert free_part_sum(zs.pa_kinetic_operators(n, zs.FormalCurvature(2))) == 0
+        assert zs.free_r_exponent(n) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +293,16 @@ def test_concrete_verdict_compares_the_formal_polynomial(monkeypatch):
     assert zs.sdet_report(4, 2, "concrete")["equal"] is False
 
 
-def test_formal_log_pf_antiperiodic_exponent():
-    # the Pfaffian exponent over half-integer modes: coefficient of ph_k is
-    # -(1/k) 4^k (2k)! lambda_over_2pii(2k)
+def test_formal_log_det_antiperiodic_exponent():
+    # the determinant exponent over half-integer modes: coefficient of ph_k is
+    # -(2/k) 4^k (2k)! lambda_over_2pii(2k)
     K = 3
-    log_pf = zs.fredholm_log_pf(zs.FormalCurvature(K), BC.ANTIPERIODIC)
+    log_det = zs.fredholm_log_det(zs.FormalCurvature(K), BC.ANTIPERIODIC)
     for k in range(1, K + 1):
-        coeff = -Fraction(1, k) * Fraction(4) ** k * math.factorial(2 * k) \
+        coeff = -Fraction(2, k) * Fraction(4) ** k * math.factorial(2 * k) \
             * cs.lambda_over_2pii(2 * k)
         expected = coeff * cs.GradedPolynomial.generator(k, K, "ph")
-        assert log_pf.weight_component(k) == expected
+        assert log_det.weight_component(k) == expected
 
 
 # ---------------------------------------------------------------------------
