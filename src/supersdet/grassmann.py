@@ -223,20 +223,6 @@ class GrassmannElement:
         kept = GrassmannElement._of({k: c for k, c in self.terms.items() if not k[0] & b})
         return kept + value * self.derivative_odd(name)
 
-    def coefficient_of_odd_pair(self, first: str, second: str) -> "GrassmannElement":
-        """Coefficient g in f = ... + g*(first*second): a term containing
-        both generators is rewritten as sign * rest*first*second (sign of the
-        reordering) and contributes sign * coefficient * rest.  Terms missing
-        either generator contribute nothing; remaining odd factors stay in g."""
-        b1, b2 = _BIT.get(first, 0), _BIT.get(second, 0)
-        if not (b1 and b2) or b1 == b2:
-            return GrassmannElement()
-        # rest * first * second = flip * sign(rest, pair) * mask
-        pair, flip = b1 | b2, sign(b1, b2)
-        return GrassmannElement._of({(mask ^ pair, even): coeff * (flip * sign(mask ^ pair, pair))
-                                     for (mask, even), coeff in self.terms.items()
-                                     if mask & pair == pair})
-
     # -- inverses and exponentials ---------------------------------------------
 
     def _graded_series(self, first: "GrassmannElement", coefficient) -> "GrassmannElement":

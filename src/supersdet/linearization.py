@@ -93,9 +93,11 @@ def time_derivative(element: G) -> G:
 
 
 def berezin_integrate(f: G) -> G:
-    """Fiberwise odd integration: the coefficient of the ordered top monomial
-    theta1*theta2, normalized so the integral of that monomial is 1."""
-    return f.coefficient_of_odd_pair("theta1", "theta2")
+    """Fiberwise odd integration: the coefficient g in f = ... +
+    g*theta1*theta2, normalized so the integral of theta1*theta2 is 1.  The
+    theta1-derivative of g*theta1*theta2 is (-1)^|g| g*theta2, whose
+    theta2-derivative is g; terms without both thetas contribute nothing."""
+    return f.derivative_odd("theta1").derivative_odd("theta2")
 
 
 def fluctuation_field(n: int) -> List[G]:
@@ -188,7 +190,7 @@ def derive_boundary_conditions() -> Dict[str, BoundaryCondition]:
             return element.derivative_odd("theta1").substitute_odd("theta2", scalar(0))
         if base == "eta2":
             return element.derivative_odd("theta2").substitute_odd("theta1", scalar(0))
-        return element.coefficient_of_odd_pair("theta1", "theta2")
+        return berezin_integrate(element)
 
     out: Dict[str, BoundaryCondition] = {}
     for base in ("a", "eta1", "eta2", "G"):

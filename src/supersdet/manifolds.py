@@ -19,7 +19,7 @@ from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import terms
-from .series import l_polynomials
+from .series import l_class, l_polynomials
 
 Partition = Tuple[int, ...]  # parts sorted descending
 
@@ -260,6 +260,9 @@ class CohomologyModel:
     # -- validation
 
     def validate(self):
+        names = [n for n, _d in self.basis]
+        if len(set(names)) != len(names):
+            raise ManifoldParseError(f"{self.name}: a basis name repeats")
         top = self.degree.get(self.fundamental)
         if top != self.dimension:
             raise ManifoldValidationError(
@@ -268,13 +271,14 @@ class CohomologyModel:
             dx, dy = self.degree.get(x), self.degree.get(y)
             if dx is None or dy is None:
                 raise ManifoldParseError(f"{self.name}: product of unknown basis {x!r},{y!r}")
+            if self.unit in (x, y):
+                raise ManifoldParseError(f"{self.name}: product {x}*{y} lists the unit")
             for z, c in result.items():
                 if self.degree.get(z) is None:
                     raise ManifoldParseError(f"{self.name}: product target {z!r} unknown")
                 if c and self.degree[z] != dx + dy:
                     raise ManifoldValidationError(
                         f"{self.name}: product {x}*{y} lands in wrong degree at {z}")
-        names = [n for n, _d in self.basis]
         for x in names:
             for y in names:
                 left = self._basis_product(x, y)
@@ -296,9 +300,12 @@ class CohomologyModel:
                 if c and self.degree.get(z) != 4 * k:
                     raise ManifoldValidationError(
                         f"{self.name}: p{k} has a component of wrong degree at {z}")
+        if self.numbers is not None and self.numbers != self.pontryagin_data().numbers:
+            raise ManifoldValidationError(
+                f"{self.name}: shipped Pontryagin numbers disagree with the ring")
 
     def pontryagin_data(self) -> PontryaginData:
-        """Pontryagin numbers computed inside the ring (or the shipped ones)."""
+        """Pontryagin numbers computed inside the ring."""
         w = self.dimension // 4
         numbers: Dict[Partition, Fraction] = {}
         for partition in partitions_of(w):
@@ -306,25 +313,18 @@ class CohomologyModel:
             for part in partition:
                 cls = self.multiply(cls, self.pontryagin_class(part))
             numbers[partition] = self.integrate(cls)
-        if self.numbers is not None and self.numbers != numbers:
-            raise ManifoldValidationError(
-                f"{self.name}: shipped Pontryagin numbers disagree with the ring")
         return PontryaginData(self.name, self.dimension, numbers, self.signature)
 
 
 def total_l_class(M: CohomologyModel) -> Element:
     """1 + L_1(p(M)) + L_2(p(M)) + ... evaluated in the ring."""
-    K = max(1, M.dimension // 4)
-    out = M.one()
-    for k, poly in enumerate(l_polynomials(K), start=1):
-        piece: Element = {}
-        for exps, coeff in poly.coeffs.items():
-            term = M.one()
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = M.multiply(term, M.pontryagin_class(i + 1))
-            piece = terms.add(piece, terms.scale(term, coeff))
-        out = terms.add(out, piece)
+    out: Element = {}
+    for exps, coeff in l_class(max(1, M.dimension // 4)).coeffs.items():
+        term = M.one()
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = M.multiply(term, M.pontryagin_class(i + 1))
+        out = terms.add(out, terms.scale(term, coeff))
     return out
 
 

@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from . import terms
 from .gaussian import GaussianRational, ScalarLike
-from .grassmann import EvenMono, GrassmannElement, TermKey, bit, even, odd, sign
+from .grassmann import EvenMono, GrassmannElement, TermKey, bit, even, odd, scalar, sign
 
 R = "r"
 RHO = "rho"
@@ -58,15 +58,12 @@ def d_coordinate(i: int) -> GrassmannElement:
 def monomial(exps: Sequence[int], idxs: Sequence[int],
              coeff: ScalarLike = 1) -> GrassmannElement:
     """coeff * x1^exps[0] ... xn^exps[n-1] dx_{idxs[0]} ... dx_{idxs[-1]}."""
-    mask, flip = 0, 1
+    out = scalar(coeff)
+    for i, e in enumerate(exps, 1):
+        out = out * even(f"x{i}", e)
     for i in idxs:
-        b = bit(f"dx{i}")
-        if mask & b:
-            return GrassmannElement()
-        flip *= sign(mask, b)
-        mask |= b
-    even_part = tuple(sorted((f"x{i}", e) for i, e in enumerate(exps, 1) if e))
-    return GrassmannElement({(mask, even_part): GaussianRational.coerce(coeff) * flip})
+        out = out * d_coordinate(i)
+    return out
 
 
 def section(form: GrassmannElement, r_power: Fraction = Fraction(0),

@@ -1,6 +1,6 @@
 """Exact power-series engine: Bernoulli numbers, even zeta values, the
-hyperbolic characteristic series, multiplicative sequences, and the Newton
-conversions between power sums and Pontryagin classes.
+hyperbolic characteristic series, the Newton conversions between power sums
+and Pontryagin classes, and the signature class `l_class` they combine into.
 
 All arithmetic is over exact rationals.  pi is never evaluated: even zeta
 values are carried as rational multiples of explicit pi-powers, and the
@@ -10,9 +10,9 @@ rationals (zeta(2k)/(2 pi i)^{2k} = -B_{2k}/(2 (2k)!)).
 Root-variable convention.  The characteristic series of the signature genus
 is carried in two equivalent normalizations: `l_series` expands
 (x/2)/tanh(x/2), the form matched by the exponential product formulas, while
-the L-polynomials are built from the same series with the root doubled,
-x/tanh(x), so that evaluation against integral Pontryagin numbers returns
-the signature (L_1 = p_1/3 and so on).
+the signature class `l_class` is built from the same series with the root
+doubled, x/tanh(x), so that evaluation against integral Pontryagin numbers
+returns the signature (L_1 = p_1/3 and so on).
 """
 
 from __future__ import annotations
@@ -161,9 +161,6 @@ class TruncatedSeries:
         c = Fraction(c)
         return TruncatedSeries([self.coeffs[k] * c ** k for k in range(self.order + 1)])
 
-    def is_even(self) -> bool:
-        return all(c == 0 for k, c in enumerate(self.coeffs) if k % 2 == 1)
-
 
 def series_sinh_half(order: int) -> TruncatedSeries:
     """sinh(x/2)/(x/2) as an exact series."""
@@ -180,15 +177,6 @@ def series_cosh_half(order: int) -> TruncatedSeries:
         if k % 2 == 1:
             return Fraction(0)
         return Fraction(1, 2 ** k * math.factorial(k))
-    return TruncatedSeries.from_function(term, order)
-
-
-def series_cosh(order: int) -> TruncatedSeries:
-    """cosh(x); kept for the exponential-form disambiguation check."""
-    def term(k: int) -> Fraction:
-        if k % 2 == 1:
-            return Fraction(0)
-        return Fraction(1, math.factorial(k))
     return TruncatedSeries.from_function(term, order)
 
 
@@ -438,45 +426,27 @@ def powersums_to_pontryagin(K: int) -> Callable[[GradedPolynomial], GradedPolyno
 
 
 # ---------------------------------------------------------------------------
-# multiplicative sequences
+# the signature class
 # ---------------------------------------------------------------------------
 
-def multiplicative_sequence(Q: TruncatedSeries, K: int) -> List[GradedPolynomial]:
-    """The Hirzebruch polynomials of an even unit series Q: write
-    prod_j Q(x_j) in the elementary symmetric functions p_i of the x_j^2 and
-    return the weight-1..K graded pieces.
-
-    Implemented through log/exp and the Newton identities: log prod Q(x_j)
-    = sum_k c_k s_k with c_k the x^{2k}-coefficient of log Q.
-    """
-    if Q.coefficient(0) != 1:
-        raise ValueError("characteristic series must have constant term 1")
-    if not Q.is_even():
-        raise ValueError("characteristic series must be even")
-    if Q.order < 2 * K:
-        raise ValueError(f"series order {Q.order} too small for K={K}")
-    logQ = Q.log()
+def l_class(K: int) -> GradedPolynomial:
+    """The total signature class 1 + L_1 + ... + L_K in the p-basis: the
+    product of x_j/tanh(x_j) over the roots, as exp(sum_k c_k s_k) with c_k
+    the x^{2k}-coefficient of log(x/tanh x) and s_k the k-th power sum of the
+    squared roots written in the elementary symmetric functions p_i."""
+    log_q = l_series_doubled_root(2 * K).log()
     total_log = GradedPolynomial(K, "p")
     for k in range(1, K + 1):
-        c = logQ.coefficient(2 * k)
-        if c:
-            total_log = total_log + c * power_sum_in_elementary(k, K)
-    total = total_log.exp()
-    return [total.weight_component(k) for k in range(1, K + 1)]
+        total_log = total_log + log_q.coefficient(2 * k) * power_sum_in_elementary(k, K)
+    return total_log.exp()
 
 
 def l_polynomials(K: int) -> List[GradedPolynomial]:
     """The signature-genus polynomials L_1..L_K in the Pontryagin classes,
-    starting p1/3, (7 p2 - p1^2)/45, (62 p3 - 13 p1 p2 + 2 p1^3)/945."""
-    return multiplicative_sequence(l_series_doubled_root(2 * K), K)
-
-
-def l_class_total(K: int) -> GradedPolynomial:
-    """1 + L_1 + ... + L_K in the p-basis."""
-    total = GradedPolynomial.one(K, "p")
-    for piece in l_polynomials(K):
-        total = total + piece
-    return total
+    the weight parts of `l_class`: p1/3, (7 p2 - p1^2)/45,
+    (62 p3 - 13 p1 p2 + 2 p1^3)/945, ..."""
+    total = l_class(K)
+    return [total.weight_component(k) for k in range(1, K + 1)]
 
 
 def l_class_in_ph(K: int) -> GradedPolynomial:
@@ -485,4 +455,4 @@ def l_class_in_ph(K: int) -> GradedPolynomial:
     superdeterminant."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    return pontryagin_to_powersums(K)(l_class_total(K))
+    return pontryagin_to_powersums(K)(l_class(K))

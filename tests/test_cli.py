@@ -127,11 +127,15 @@ def _cp2_with(change):
      ["pushforward", "--class", "h^2"]),
     (_cp2_with(lambda d: d["products"].append(
         {"left": "1", "right": "1", "result": [{"basis": "1", "coeff": 3}]})), ["lgenus"]),
+    # shipped numbers contradicting the ring: the pushforward never reads them
+    (_cp2_with(lambda d: d.update(pontryagin_numbers={"p1": 4})),
+     ["pushforward", "--class", "1"]),
 ], ids=["den-zero", "num-string", "num-bool", "classes-list", "basis-name-list",
         "products-int", "product-left-list", "result-basis-list", "class-den-zero",
         "dimension-bool", "basis-degree-bool", "numbers-p0", "numbers-repeated-partition",
         "classes-p0", "numbers-zero-exponent", "numbers-missing-partition", "name-bool",
-        "basis-name-repeated", "products-pair-repeated", "products-unit-operand"])
+        "basis-name-repeated", "products-pair-repeated", "products-unit-operand",
+        "numbers-contradict-ring"])
 def test_malformed_manifold_input_is_a_usage_error(capsys, tmp_path, document, argv):
     if document is not None:
         path = tmp_path / "m.json"

@@ -97,13 +97,14 @@ def test_substitute_odd():
 
 
 def test_top_pair_extraction():
+    # the coefficient g of f = ... + g*theta1*theta2 is d/dtheta2 d/dtheta1 f
     th1, th2, w = odd("theta1"), odd("theta2"), odd("w")
-    assert (th1 * th2).coefficient_of_odd_pair("theta1", "theta2") == scalar(1)
-    assert (th2 * th1).coefficient_of_odd_pair("theta1", "theta2") == scalar(-1)
+    assert (th1 * th2).derivative_odd("theta1").derivative_odd("theta2") == scalar(1)
+    assert (th2 * th1).derivative_odd("theta1").derivative_odd("theta2") == scalar(-1)
     f = w * th1 * th2
-    assert (f.coefficient_of_odd_pair("theta1", "theta2") - w).is_zero()
-    assert scalar(7).coefficient_of_odd_pair("theta1", "theta2").is_zero()
-    assert f.coefficient_of_odd_pair("theta1", "theta1").is_zero()  # theta1^2 = 0
+    assert (f.derivative_odd("theta1").derivative_odd("theta2") - w).is_zero()
+    assert scalar(7).derivative_odd("theta1").derivative_odd("theta2").is_zero()
+    assert f.derivative_odd("theta1").derivative_odd("theta1").is_zero()  # theta1^2 = 0
 
 
 def test_invert_unit():

@@ -1,11 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from supersdet.gaussian import GaussianRational
 from supersdet.grassmann import GrassmannElement, even, odd, scalar
 from supersdet import linearization as lin
 from supersdet.zeta import BoundaryCondition as BC, PA_BOUNDARY
@@ -19,6 +22,28 @@ def test_berezin_normalization_and_linearity():
     assert (lin.berezin_integrate(f) - (scalar(2) + even("t"))).is_zero()
     g = odd("w") * th1 * th2
     assert (lin.berezin_integrate(g) - odd("w")).is_zero()
+
+
+SPECTATORS = tuple(f"s{i}" for i in range(8))
+
+
+def grassmann_elements(generators, keep=lambda names: True):
+    """Random sums of c * (distinct generators, in drawn order) * t^e."""
+    term = st.tuples(st.builds(GaussianRational, st.integers(-4, 4), st.integers(-4, 4)),
+                     st.lists(st.sampled_from(generators), unique=True).filter(keep),
+                     st.integers(0, 2))
+    return st.lists(term, max_size=12).map(lambda ts: sum(
+        (math.prod(map(odd, names), start=c * even("t", e)) for c, names, e in ts),
+        GrassmannElement()))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(grassmann_elements(SPECTATORS),
+       grassmann_elements(SPECTATORS + ("theta1", "theta2"),
+                          lambda names: not {"theta1", "theta2"} <= set(names)))
+def test_berezin_integral_reads_the_top_pair_coefficient(g, h):
+    th1, th2 = odd("theta1"), odd("theta2")
+    assert lin.berezin_integrate(g * th1 * th2 + h) == g
 
 
 def test_time_derivative_bumps_orders():

@@ -176,9 +176,20 @@ def test_shipped_numbers_must_match_ring():
         '"fundamental": "h2",'
         '"pontryagin_classes": {"p1": [{"basis": "h2", "coeff": 3}]},'
         '"pontryagin_numbers": {"p1": 4}}')
-    model = mf.load_manifold(raw)
-    with pytest.raises(mf.ManifoldValidationError):
-        model.pontryagin_data()
+    with pytest.raises(mf.ManifoldValidationError, match="shipped Pontryagin numbers"):
+        mf.load_manifold(raw)
+
+
+@pytest.mark.parametrize("basis, products", [
+    ([("1", 0), ("h", 2), ("h", 2), ("h2", 4)], {("h", "h"): {"h2": Fraction(1)}}),
+    ([("1", 0), ("h", 2), ("h2", 4)],
+     {("h", "h"): {"h2": Fraction(1)}, ("1", "1"): {"1": Fraction(3)}}),
+    ([("1", 0), ("h", 2), ("h2", 4)],
+     {("h", "h"): {"h2": Fraction(1)}, ("h", "1"): {"h": Fraction(1)}}),
+], ids=["basis-name-repeated", "unit-times-unit", "unit-on-the-right"])
+def test_directly_built_model_keeps_the_ring_rules(basis, products):
+    with pytest.raises(mf.ManifoldParseError):
+        mf.CohomologyModel("cp2", 4, basis, products, "h2", {1: {"h2": Fraction(3)}}, 1)
 
 
 def test_partitions_of():

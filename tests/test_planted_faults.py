@@ -1,0 +1,109 @@
+"""A catalogue of planted faults: measured evidence that `verify` cannot pass
+by accident.
+
+Each entry names a library file, an exact source snippet, its replacement,
+and the verify checks that must then read FAIL.  The mutant is a temporary
+copy of src/ with that one replacement, and `python -O -m supersdet.cli
+verify --format json` runs on it in a subprocess.  A snippet must occur
+exactly once, so the catalogue breaks loudly when the code moves.
+
+A mutant that no verify check kills is a known survivor: its entry names no
+check, says in a comment why verify cannot see it, and names the unit test
+that does kill it.  The catalogue asserts that verify still passes on it and
+that the unit test fails; once verify gains a check that kills it, the entry
+must name that check instead.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import FrozenSet, NamedTuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Fault(NamedTuple):
+    file: str
+    snippet: str
+    replacement: str
+    killed_by: FrozenSet[str]
+    survivor_test: str = ""  # "module::function" of the unit test that kills a survivor
+
+
+FAULTS = {
+    "berezin-derivative-order": Fault(
+        "linearization.py",
+        'return f.derivative_odd("theta1").derivative_odd("theta2")',
+        'return f.derivative_odd("theta2").derivative_odd("theta1")',
+        frozenset({"Berezin integral normalization", "linearized action expansion"})),
+    "l-class-log-sign": Fault(
+        "series.py",
+        "total_log = total_log + log_q.coefficient(2 * k)",
+        "total_log = total_log - log_q.coefficient(2 * k)",
+        frozenset({"L-polynomials against brute force",
+                   "superdeterminant equals the signature class"})),
+    "cosh-root-scale": Fault(
+        "verify.py",
+        "cosh_full = cs.series_cosh_half(8).rescale_root(Fraction(2))",
+        "cosh_full = cs.series_cosh_half(8).rescale_root(Fraction(1))",
+        frozenset({"exponential product identities"})),
+    # Known survivor, a gap in verify (a FOUND line of CHANGES.md): one sign
+    # per dx factor.  Verify builds forms with sections.monomial only to test
+    # closedness, the kernel of Q and Q^2, which are linear conditions, so a
+    # sign on a monomial changes nothing they can see.
+    "monomial-sign": Fault(
+        "sections.py",
+        "out = out * d_coordinate(i)",
+        "out = -(out * d_coordinate(i))",
+        frozenset(), "test_sections::test_monomial_sign_and_coefficient"),
+}
+
+
+def _copy_src(tmp_path: Path) -> Path:
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _python(src: Path, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *args], cwd=src.parent, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _failed_checks(src: Path) -> set:
+    run = _python(src, "-O", "-m", "supersdet.cli", "verify", "--format", "json")
+    assert run.returncode in (0, 1), run.stderr
+    failed = {c["name"] for c in json.loads(run.stdout)["checks"] if not c["passed"]}
+    assert (run.returncode == 1) == bool(failed)
+    return failed
+
+
+def test_unmutated_copy_passes(tmp_path):
+    assert _failed_checks(_copy_src(tmp_path)) == set()
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_planted_fault(tmp_path, name):
+    fault = FAULTS[name]
+    src = _copy_src(tmp_path)
+    target = src / "supersdet" / fault.file
+    text = target.read_text(encoding="utf-8")
+    assert text.count(fault.snippet) == 1, f"{fault.file} must hold the snippet exactly once"
+    target.write_text(text.replace(fault.snippet, fault.replacement), encoding="utf-8")
+
+    failed = _failed_checks(src)
+    if not fault.survivor_test:
+        assert fault.killed_by and fault.killed_by <= failed, sorted(failed)
+        return
+    assert not failed, f"verify kills this survivor now, by {sorted(failed)}"
+    module, function = fault.survivor_test.split("::")
+    probe = _python(src, "-c", f"import sys; sys.path.insert(0, {str(ROOT / 'tests')!r}); "
+                               f"import {module}; {module}.{function}()")
+    assert probe.returncode != 0 and "AssertionError" in probe.stderr, probe.stderr

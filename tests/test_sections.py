@@ -16,6 +16,7 @@ from supersdet.sections import (
     grade,
     is_section_of,
     is_supersymmetric,
+    monomial,
     q_squared,
     rho_d,
     scale_r,
@@ -43,6 +44,16 @@ def test_degree_bookkeeping():
     assert degrees(degree_component(w, 2)) == {2}
     assert len(degrees(w)) > 1  # not homogeneous
     assert degrees(dx(1) * dx(2)) == {2}
+
+
+def test_monomial_sign_and_coefficient():
+    # closedness and Q^2 are linear, so no verify check sees this sign
+    assert monomial([0, 0], [2, 1]) == -monomial([0, 0], [1, 2])
+    assert monomial([1, 0], [1, 2], 3) == 3 * x(1) * dx(1) * dx(2)
+    assert monomial([0, 0], [1, 1]).is_zero()
+    # an odd count of generators: a sign flipped once per factor cancels in pairs
+    assert monomial([2, 0, 1], [3], 5) == 5 * x(1) * x(1) * x(3) * dx(3)
+    assert monomial([0, 0, 0], [3, 1, 2]) == dx(3) * dx(1) * dx(2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersdet import series as cs
 from supersdet import verify as vf
@@ -63,7 +64,7 @@ def test_characteristic_series_coefficients():
     assert ls.coefficient(2) == Fraction(1, 12)
     assert ls.coefficient(4) == Fraction(-1, 720)
     assert ls.coefficient(6) == Fraction(1, 30240)
-    assert ls.is_even()
+    assert all(ls.coefficient(k) == 0 for k in range(1, 9, 2))
     doubled = cs.l_series_doubled_root(8)
     assert doubled.coefficient(2) == Fraction(1, 3)
     assert doubled.coefficient(4) == Fraction(-1, 45)
@@ -87,7 +88,7 @@ def test_exponential_forms_report():
     sinh_candidate, cosh_candidate = vf._exponential_candidates(8)
     assert sinh_candidate.coeffs == cs.series_sinh_half(8).coeffs
     assert cosh_candidate.coeffs == cs.series_cosh_half(8).coeffs
-    cosh_full = cs.series_cosh(8).coeffs
+    cosh_full = cs.series_cosh_half(8).rescale_root(2).coeffs
     assert [k for k in range(9) if cosh_candidate.coeffs[k] != cosh_full[k]][0] == 2
     vacuous = vf._exponential_candidates(0)
     assert [c.coeffs for c in vacuous] == [(1,), (1,)]
@@ -106,33 +107,39 @@ def test_l_polynomials_frozen_values():
                                          - 3 * p[0] * p[0] * p[0] * p[0])
 
 
+def _product_at_roots(series, ys, K):
+    """e_1..e_K of the squared roots ys, and the weight-1..K parts of
+    prod_j Q(x_j) with x_j^2 = y_j, through a graded epsilon parameter."""
+    es = [Fraction(1)] + [Fraction(0)] * K
+    for y in ys:
+        for i in range(K, 0, -1):
+            es[i] = es[i] + y * es[i - 1]
+    eps = [Fraction(1)] + [Fraction(0)] * K
+    for y in ys:
+        factor = [series.coefficient(2 * k) * y ** k for k in range(K + 1)]
+        eps = [sum(eps[i] * factor[j - i] for i in range(j + 1)) for j in range(K + 1)]
+    return es[1:], eps[1:]
+
+
 def test_multiplicative_sequence_against_evaluation_oracle():
-    # evaluate prod_j Q(x_j) at random rational roots through a graded epsilon
-    # parameter and compare against the polynomial route, degree by degree
+    # evaluate prod_j Q(x_j) at random rational roots and compare against the
+    # polynomial route, degree by degree
     rng = random.Random(23)
     K = 4
     series = cs.l_series_doubled_root(2 * K)
-    polys = cs.multiplicative_sequence(series, K)
+    polys = cs.l_polynomials(K)
     for _ in range(8):
         ys = [Fraction(rng.randrange(1, 8), rng.randrange(1, 6)) for _ in range(2 * K)]
-        es = [Fraction(1)] + [Fraction(0)] * K
-        for y in ys:
-            for i in range(K, 0, -1):
-                es[i] = es[i] + y * es[i - 1]
-        eps = [Fraction(1)] + [Fraction(0)] * K
-        for y in ys:
-            factor = [series.coefficient(2 * k) * y ** k for k in range(K + 1)]
-            eps = [sum(eps[i] * factor[j - i] for i in range(j + 1)) for j in range(K + 1)]
-        for k in range(1, K + 1):
-            assert polys[k - 1].evaluate(es[1:]) == eps[k]
+        es, eps = _product_at_roots(series, ys, K)
+        assert [poly.evaluate(es) for poly in polys] == eps
 
 
-def test_multiplicative_sequence_preconditions():
-    with pytest.raises(ValueError):
-        cs.multiplicative_sequence(TruncatedSeries([Fraction(2)] + [Fraction(0)] * 8), 2)
-    odd_series = TruncatedSeries([Fraction(1), Fraction(1)] + [Fraction(0)] * 7)
-    with pytest.raises(ValueError):
-        cs.multiplicative_sequence(odd_series, 2)
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.integers(1, 6), st.data())
+def test_l_polynomials_match_the_product_at_random_roots(K, data):
+    ys = data.draw(st.lists(st.fractions(-5, 5, max_denominator=7), min_size=K, max_size=2 * K))
+    es, eps = _product_at_roots(cs.l_series_doubled_root(2 * K), ys, K)
+    assert [poly.evaluate(es) for poly in cs.l_polynomials(K)] == eps
 
 
 def test_newton_conversions():
