@@ -2,10 +2,13 @@
 hyperbolic characteristic series, the Newton conversions between power sums
 and Pontryagin classes, and the signature class `l_class` they combine into.
 
-All arithmetic is over exact rationals.  pi is never evaluated: even zeta
-values are carried as rational multiples of explicit pi-powers, and the
-combinations entering the regularized determinants collapse to plain
-rationals (zeta(2k)/(2 pi i)^{2k} = -B_{2k}/(2 (2k)!)).
+All arithmetic is exact.  Coefficients are rationals; GradedPolynomial.exp
+and .substitute clear them to integer numerators over one denominator per
+weight piece, with packed int monomial keys, and divide back once per result
+coefficient.  pi is never evaluated: even zeta values are carried as rational
+multiples of explicit pi-powers, and the combinations entering the
+regularized determinants collapse to plain rationals
+(zeta(2k)/(2 pi i)^{2k} = -B_{2k}/(2 (2k)!)).
 
 Root-variable convention.  The characteristic series of the signature genus
 is carried in two equivalent normalizations: `l_series` expands
@@ -202,7 +205,9 @@ class GradedPolynomial:
 
     The basis label records which generators the exponent vectors refer to:
     "p" for Pontryagin classes, "ph" for Pontryagin-character components.
-    Conversions between the two bases are explicit maps.
+    Conversions between the two bases are explicit maps.  coeffs maps
+    exponent tuples to nonzero Fractions; exp and substitute compute in the
+    integer form _Piece and return to it.
     """
 
     __slots__ = ("nvars", "basis", "coeffs")
@@ -298,28 +303,54 @@ class GradedPolynomial:
                                     {e: c for e, c in self.coeffs.items()
                                      if self.weight_of(e) == w})
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(tuple([0] * self.nvars), Fraction(0))
-
     def exp(self) -> "GradedPolynomial":
         """Exponential of a polynomial with zero constant term, weight by
-        weight through the grading recurrence of terms.graded_series: the
-        pieces are the weight components, whose products never truncate."""
-        if self.constant_term() != 0:
-            raise ValueError("exp needs zero constant term")
+        weight through the grading recurrence of terms.graded_series, on
+        integer pieces: with B the lcm of the denominators and X_j = B^j x_j
+        the weight-j piece, H_w = w! B^w F_w obeys H_0 = 1 and
+        H_w = sum_j j (w-1)!/(w-j)! X_j H_{w-j}.  Products never truncate."""
         parts = [{} for _ in range(self.nvars + 1)]
         for e, c in self.coeffs.items():
             parts[self.weight_of(e)][e] = c
-        pieces = terms.graded_series(
-            [GradedPolynomial._of(self.nvars, self.basis, p) for p in parts],
-            GradedPolynomial.one(self.nvars, self.basis), terms.exp_coefficient)
-        return GradedPolynomial._of(self.nvars, self.basis,
-                                    {e: c for piece in pieces for e, c in piece.coeffs.items()})
+        if parts[0]:
+            raise ValueError("exp needs zero constant term")
+        B, X = _cleared(self.nvars, parts)
+        pieces = terms.graded_series(X, _Piece({0: 1}), lambda j, w: j * math.perm(w - 1, j - 1))
+        return _from_pieces(self.nvars, self.basis, pieces,
+                            [math.factorial(w) * B ** w for w in range(self.nvars + 1)])
 
     def substitute(self, images: Sequence["GradedPolynomial"]) -> "GradedPolynomial":
-        """Replace generator g_i by images[i-1]; images share one context,
-        which is the context of the result."""
-        return self.evaluate(images)
+        """Replace generator g_i by images[i-1], homogeneous of weight i; the
+        images share one context, the context of the result.  With D the lcm
+        of their denominators, Y_i = D^i images[i-1] is integral and a
+        monomial of weight w maps to its product of Y_i over D^w.  Monomials
+        are walked in sorted order of their factors, largest first, so a
+        product that several share, a common prefix, is built once."""
+        if len(images) != self.nvars:
+            raise ValueError("need one image per generator")
+        for i, image in enumerate(images, 1):
+            if any(image.weight_of(e) != i for e in image.coeffs):
+                raise ValueError(f"image of generator {i} is not homogeneous of weight {i}")
+        nvars = images[0].nvars
+        D, Y = _cleared(nvars, [{}] + [image.coeffs for image in images])
+        d = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        out = [_Piece() for _ in range(nvars + 1)]
+        path, products = (), [_Piece({0: 1})]
+        monomials = sorted((tuple(i for i in range(self.nvars, 0, -1) for _ in range(e[i - 1])),
+                            c.numerator * (d // c.denominator)) for e, c in self.coeffs.items())
+        for factors, c in monomials:
+            w = sum(factors)
+            if w > nvars:
+                continue
+            shared = next((k for k, (a, b) in enumerate(zip(path, factors)) if a != b),
+                          min(len(path), len(factors)))
+            del products[shared + 1:]
+            for i in factors[shared:]:
+                products.append(products[-1] * Y[i])
+            for key, v in products[-1].items():
+                terms.accumulate(out[w], key, c * v)
+            path = factors
+        return _from_pieces(nvars, images[0].basis, out, [d * D ** w for w in range(nvars + 1)])
 
     def evaluate(self, values: Sequence) -> object:
         """Evaluate at given generator values (anything with ring operations,
@@ -364,6 +395,50 @@ class GradedPolynomial:
     __repr__ = __str__
 
 
+class _Piece(dict):
+    """The integer work format of GradedPolynomial.exp and .substitute: one
+    weight piece, packed exponent key -> integer numerator, over a
+    denominator its caller keeps.  Monomials multiply by adding packed keys;
+    no caller multiplies past the top weight, so no field carries."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "_Piece") -> "_Piece":
+        return _Piece(terms.add(self, other))
+
+    def __rmul__(self, c: int) -> "_Piece":
+        return _Piece(terms.scale(self, c))
+
+    def __mul__(self, other: "_Piece") -> "_Piece":
+        return _Piece(terms.product(self.items(), other.items(), lambda a, b: (a + b, 1)))
+
+
+def _packing(nvars: int):
+    """(pack, unpack) between exponent vectors and int keys, nvars.bit_length()
+    bits per generator: no exponent at weight <= nvars exceeds nvars."""
+    shift = nvars.bit_length()
+    mask = (1 << shift) - 1
+    return (lambda exps: sum(e << (shift * i) for i, e in enumerate(exps)),
+            lambda key: tuple((key >> (shift * i)) & mask for i in range(nvars)))
+
+
+def _cleared(nvars: int, pieces: Sequence[Dict[Tuple[int, ...], Fraction]]):
+    """B and the integer pieces B^w pieces[w], B the lcm of all denominators."""
+    pack = _packing(nvars)[0]
+    B = math.lcm(*(c.denominator for piece in pieces for c in piece.values()))
+    return B, [_Piece({pack(e): c.numerator * (B ** w // c.denominator) for e, c in piece.items()})
+               for w, piece in enumerate(pieces)]
+
+
+def _from_pieces(nvars: int, basis: str, pieces: List[_Piece], dens: List[int]) -> GradedPolynomial:
+    """The polynomial with weight pieces pieces[w] / dens[w]: the one place
+    where a result coefficient becomes a Fraction."""
+    unpack = _packing(nvars)[1]
+    return GradedPolynomial._of(nvars, basis, {unpack(key): Fraction(n, dens[w])
+                                               for w, piece in enumerate(pieces)
+                                               for key, n in piece.items()})
+
+
 # ---------------------------------------------------------------------------
 # Newton identities: power sums <-> elementary symmetric functions, with the
 # power sums s_k = (2k)! ph_k
@@ -401,25 +476,21 @@ def elementary_in_ph(k: int, nvars: int) -> GradedPolynomial:
 def pontryagin_to_powersums(K: int) -> Callable[[GradedPolynomial], GradedPolynomial]:
     """Map a p-basis polynomial to the ph-basis, substituting each p_i by its
     Newton expression in the scaled power sums s_k = (2k)! ph_k."""
-    images = [elementary_in_ph(i, K) for i in range(1, K + 1)]
-
-    def convert(poly: GradedPolynomial) -> GradedPolynomial:
-        if poly.basis != "p":
-            raise ValueError("expected a p-basis polynomial")
-        return poly.substitute(images)
-
-    return convert
+    return _substitution("p", [elementary_in_ph(i, K) for i in range(1, K + 1)])
 
 
 def powersums_to_pontryagin(K: int) -> Callable[[GradedPolynomial], GradedPolynomial]:
     """Map a ph-basis polynomial to the p-basis via ph_k = s_k/(2k)! and the
     Newton expression of s_k in elementary symmetric functions."""
-    images = [Fraction(1, math.factorial(2 * k)) * power_sum_in_elementary(k, K)
-              for k in range(1, K + 1)]
+    return _substitution("ph", [Fraction(1, math.factorial(2 * k)) * power_sum_in_elementary(k, K)
+                                for k in range(1, K + 1)])
 
+
+def _substitution(basis: str, images: List[GradedPolynomial]):
+    """poly -> poly.substitute(images), for polynomials in the given basis."""
     def convert(poly: GradedPolynomial) -> GradedPolynomial:
-        if poly.basis != "ph":
-            raise ValueError("expected a ph-basis polynomial")
+        if poly.basis != basis:
+            raise ValueError(f"expected a {basis}-basis polynomial")
         return poly.substitute(images)
 
     return convert

@@ -2,8 +2,9 @@
 
 An element of each algebra (Grassmann elements, which also model
 polynomial forms and sections; graded polynomials; cohomology-ring
-elements) is a dict from a monomial key to an exact coefficient, a
-Fraction or a GaussianRational.  The functions here build such dicts and
+elements) is a dict from a monomial key to an exact coefficient: a
+Fraction, a GaussianRational, or an int in the integer work format of
+graded polynomials (series._Piece).  The functions here build such dicts and
 never store a zero coefficient, so every dict they return is clean.  What
 a key means, and how two keys multiply, stays with the algebra that owns
 it: the sign of a product of anticommuting generators, for one, is
@@ -88,7 +89,7 @@ def graded_series(parts: Sequence, first, coefficient: Callable[[int, int], obje
     A product with a zero (falsy) factor is skipped.  Nothing above grade n
     is computed: the caller pads parts to the top grade the result can
     reach."""
-    zero = first - first
+    zero = 0 * first
     out = [first]
     for w in range(1, len(parts)):
         acc = zero

@@ -48,6 +48,38 @@ FAULTS = {
         "total_log = total_log - log_q.coefficient(2 * k)",
         frozenset({"L-polynomials against brute force",
                    "superdeterminant equals the signature class"})),
+    # exp is shared by sdet and the oracle, and Newton is a ring map, so an
+    # exp with a wrong recurrence coefficient keeps sdet == L: only checks
+    # against a brute-force product see it
+    "exp-recurrence-scale": Fault(
+        "series.py",
+        "lambda j, w: j * math.perm(w - 1, j - 1)",
+        "lambda j, w: math.perm(w - 1, j - 1)",
+        frozenset({"L-polynomials against brute force", "degree parts in Pontryagin classes"})),
+    "exp-piece-denominator": Fault(
+        "series.py",
+        "[math.factorial(w) * B ** w for w",
+        "[math.factorial(w) * B for w",
+        frozenset({"L-polynomials against brute force", "Whitney multiplicativity",
+                   "superdeterminant equals the signature class"})),
+    "substitute-image-scale": Fault(
+        "series.py",
+        "[d * D ** w for w",
+        "[d * D for w",
+        frozenset({"Newton conversions invertible",
+                   "superdeterminant equals the signature class"})),
+    "substitute-prefix-reuse": Fault(
+        "series.py",
+        "del products[shared + 1:]",
+        "del products[shared:]",
+        frozenset({"Newton conversions invertible",
+                   "superdeterminant equals the signature class"})),
+    "packed-key-shift": Fault(
+        "series.py",
+        "shift = nvars.bit_length()",
+        "shift = nvars.bit_length() - 1",
+        frozenset({"L-polynomials against brute force", "Newton conversions invertible",
+                   "superdeterminant equals the signature class"})),
     "cosh-root-scale": Fault(
         "verify.py",
         "cosh_full = cs.series_cosh_half(8).rescale_root(Fraction(2))",

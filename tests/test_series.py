@@ -162,6 +162,52 @@ def test_newton_conversions():
         to_p(p1)
 
 
+@st.composite
+def graded_polynomials(draw, K, basis):
+    """Up to six monomials of mixed weight <= K, each a multiset of generator
+    indices, with coefficients of assorted denominators."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps, budget = [0] * K, K
+        for i in draw(st.lists(st.integers(1, K), max_size=K)):
+            if i <= budget:
+                exps[i - 1] += 1
+                budget -= i
+        terms[tuple(exps)] = draw(st.fractions(-40, 40, max_denominator=90).filter(bool))
+    return GradedPolynomial(K, basis, terms)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 10), st.data())
+def test_newton_round_trip_at_random_k(K, data):
+    to_ph, to_p = cs.pontryagin_to_powersums(K), cs.powersums_to_pontryagin(K)
+    P = data.draw(graded_polynomials(K, "p"))
+    Q = data.draw(graded_polynomials(K, "ph"))
+    assert to_p(to_ph(P)) == P
+    assert to_ph(to_p(Q)) == Q
+    # no Newton code here: p_i = e_i(y) and ph_k = sum_j y_j^k / (2k)! at
+    # random rational y, through the definitions alone
+    ys = data.draw(st.lists(st.fractions(-4, 4, max_denominator=6), min_size=1, max_size=K + 2))
+    es, _ = _product_at_roots(cs.l_series_doubled_root(2 * K), ys, K)
+    phs = [sum(y ** k for y in ys) / math.factorial(2 * k) for k in range(1, K + 1)]
+    assert P.evaluate(es) == to_ph(P).evaluate(phs)
+
+
+def test_substitute_needs_homogeneous_images():
+    K = 3
+    p = [GradedPolynomial.generator(i, K, "p") for i in range(1, K + 1)]
+    ph = [GradedPolynomial.generator(i, K, "ph") for i in range(1, K + 1)]
+    poly = p[0] * p[1] + p[2]
+    assert poly.substitute(ph) == ph[0] * ph[1] + ph[2]
+    # an image of the wrong weight, or of mixed weight, is rejected, not truncated
+    for images in ([ph[0], ph[0], ph[2]], [ph[0] + ph[1], ph[1], ph[2]],
+                   [ph[0], ph[1], ph[2] + GradedPolynomial.one(K, "ph")]):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            poly.substitute(images)
+    with pytest.raises(ValueError):
+        poly.substitute(ph[:2])
+
+
 def test_graded_polynomial_truncation_and_exp():
     K = 3
     p1 = GradedPolynomial.generator(1, K, "p")
