@@ -355,11 +355,15 @@ class GradedPolynomial:
     def evaluate(self, values: Sequence) -> object:
         """Evaluate at given generator values (anything with ring operations,
         e.g. Fractions or even Grassmann elements); the result has the type
-        of the values."""
+        of the values.  A monomial with a positive exponent on a zero value
+        is skipped before any product."""
         if len(values) != self.nvars:
             raise ValueError("need one value per generator")
         total = 0 * values[0]
+        zeros = [i for i, v in enumerate(values) if not v]
         for exps, c in self.coeffs.items():
+            if any(exps[i] for i in zeros):
+                continue
             term = c
             for i, e in enumerate(exps):
                 for _ in range(e):

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Union
 
 from .gaussian import GaussianRational, I
@@ -123,8 +124,9 @@ class CurvatureMatrix:
             raise ValueError("matrix must be square")
         d = math.lcm(*(part.denominator for row in rows for e in row
                        for c in e.values() for part in (c.re, c.im)))
-        R = tuple(tuple({key: (int(c.re * d), int(c.im * d)) for key, c in e.items()}
-                        for e in row) for row in rows)
+        R = tuple(tuple({key: (c.re.numerator * (d // c.re.denominator),
+                               c.im.numerator * (d // c.im.denominator))
+                         for key, c in e.items()} for e in row) for row in rows)
         union = 0
         for i, row in enumerate(R):
             for j, entry in enumerate(row):
@@ -139,34 +141,43 @@ class CurvatureMatrix:
         self.n = n
         self._generators = union.bit_count()
         self._denominator = d
-        # R_int, R_int^2, ...: built on demand and shared by every trace
-        self._powers = [R]
+        self._columns = tuple(zip(*R))
+        self._signs = {}
+        # R_int^0, R_int, R_int^2, ...: built on demand and shared by every
+        # trace; the scaled traces are kept per k
+        one = {(0, ()): (1, 0)}
+        self._powers = [tuple(tuple(one if i == j else {} for j in range(n))
+                              for i in range(n)), R]
+        self._scaled = {}
 
     def matrix_power_trace(self, m: int) -> GrassmannElement:
-        """Tr(R^m).  The powers of R are built once per matrix, one product at
-        a time, up to the first zero power; every higher power, and so its
-        trace, vanishes (the entries are nilpotent)."""
+        """Tr(R^m), from the diagonal of R^{m-1} R.  The powers of R are built
+        once per matrix, one product at a time, up to the first zero power;
+        every higher power, and so its trace, vanishes (the entries are
+        nilpotent).  R^m itself is built only when a higher trace needs it."""
         if m < 1:
             raise ValueError("m must be >= 1")
         powers = self._powers
         while len(powers) < m and any(any(row) for row in powers[-1]):
-            powers.append(_matmul(powers[-1], powers[0]))
+            powers.append(_matmul(powers[-1], self._columns, len(powers) & 1, self._signs))
         if len(powers) < m:
             return GrassmannElement()
-        acc = {}
-        for i, row in enumerate(powers[m - 1]):
-            for key, (re, im) in row[i].items():
-                old = acc.get(key)
-                acc[key] = (re + old[0], im + old[1]) if old else (re, im)
+        # Tr(R^{m-1} R) = sum_{i,k} (R^{m-1})_{ik} R_{ki}: one entry over
+        # all rows of R^{m-1} against all columns of R
+        acc = _entry(chain(*powers[m - 1]), chain(*self._columns), self._signs)
         scale = self._denominator ** m
         return GrassmannElement._of({
             key: GaussianRational(Fraction(re, scale), Fraction(im, scale))
-            for key, (re, im) in acc.items() if re or im})
+            for key, (re, im) in acc.items()})
 
     def scaled_trace(self, k: int) -> GrassmannElement:
-        """(i r)^{2k} Tr(R^{2k}), an even Grassmann element with r-powers."""
-        tr = self.matrix_power_trace(2 * k)
-        return (I ** (2 * k)) * even("r", 2 * k) * tr
+        """(i r)^{2k} Tr(R^{2k}), an even Grassmann element with r-powers.
+        Built once per k; every caller shares the (immutable) element."""
+        scaled = self._scaled.get(k)
+        if scaled is None:
+            tr = self.matrix_power_trace(2 * k)
+            scaled = self._scaled[k] = (I ** (2 * k)) * even("r", 2 * k) * tr
+        return scaled
 
     def max_relevant_k(self) -> int:
         """The largest k with Tr(R^{2k}) possibly nonzero; caps the sums."""
@@ -175,36 +186,43 @@ class CurvatureMatrix:
         return max(1, self._generators // 4)
 
 
-def _matmul(a, b):
-    """The product of two matrices in CurvatureMatrix's kernel form."""
-    columns = list(zip(*b))
-    signs = {}
-    out = []
-    for row_a in a:
-        row = []
-        for column in columns:
-            acc = {}
-            for x, y in zip(row_a, column):
-                if not x or not y:
+def _entry(row, column, signs):
+    """sum_k row[k] column[k] in CurvatureMatrix's kernel form: one entry of
+    a matrix product.  signs caches the reordering sign per pair of masks."""
+    acc = {}
+    for x, y in zip(row, column):
+        if not x or not y:
+            continue
+        y = y.items()
+        for (m1, e1), (r1, i1) in x.items():
+            for (m2, e2), (r2, i2) in y:
+                if m1 & m2:
                     continue
-                y = y.items()
-                for (m1, e1), (r1, i1) in x.items():
-                    for (m2, e2), (r2, i2) in y:
-                        if m1 & m2:
-                            continue
-                        flip = signs.get((m1, m2))
-                        if flip is None:
-                            flip = signs[(m1, m2)] = sign(m1, m2) < 0
-                        re = r1 * r2 - i1 * i2
-                        im = r1 * i2 + i1 * r2
-                        if flip:
-                            re, im = -re, -im
-                        key = (m1 | m2, _mul_even(e1, e2) if e1 and e2 else e1 or e2)
-                        old = acc.get(key)
-                        acc[key] = (re + old[0], im + old[1]) if old else (re, im)
-            row.append({key: c for key, c in acc.items() if c[0] or c[1]})
-        out.append(tuple(row))
-    return tuple(out)
+                flip = signs.get((m1, m2))
+                if flip is None:
+                    flip = signs[(m1, m2)] = sign(m1, m2) < 0
+                re = r1 * r2 - i1 * i2
+                im = r1 * i2 + i1 * r2
+                if flip:
+                    re, im = -re, -im
+                key = (m1 | m2, _mul_even(e1, e2) if e1 and e2 else e1 or e2)
+                old = acc.get(key)
+                acc[key] = (re + old[0], im + old[1]) if old else (re, im)
+    return {key: c for key, c in acc.items() if c[0] or c[1]}
+
+
+def _matmul(power, columns, odd_power, signs):
+    """R^m = R^{m-1} R in CurvatureMatrix's kernel form, from R's columns.
+    The entries commute, so (R^m)^T = (-1)^m R^m: only the entries i <= j
+    are built (i < j for odd m, whose diagonal vanishes), and the others are
+    mirrored with that sign."""
+    n = len(power)
+    out = [[{}] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + odd_power, n):
+            entry = out[i][j] = _entry(power[i], columns[j], signs)
+            out[j][i] = {key: (-re, -im) for key, (re, im) in entry.items()} if odd_power else entry
+    return out
 
 
 def _ph_scale(k: int) -> int:

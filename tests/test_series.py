@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from supersdet import series as cs
 from supersdet import verify as vf
+from supersdet.grassmann import GrassmannElement, even, odd
 from supersdet.series import GradedPolynomial, TruncatedSeries
 
 
@@ -191,6 +194,48 @@ def test_newton_round_trip_at_random_k(K, data):
     es, _ = _product_at_roots(cs.l_series_doubled_root(2 * K), ys, K)
     phs = [sum(y ** k for y in ys) / math.factorial(2 * k) for k in range(1, K + 1)]
     assert P.evaluate(es) == to_ph(P).evaluate(phs)
+
+
+def _evaluate_every_monomial(poly, values):
+    """The value of poly with every monomial multiplied out, none skipped."""
+    total = 0 * values[0]
+    for exps, c in poly.coeffs.items():
+        factors = [v for v, e in zip(values, exps) for _ in range(e)]
+        total = total + functools.reduce(operator.mul, factors, c)
+    return total
+
+
+_ZERO_OR_RATIONAL = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _even_grassmann_values(draw):
+    """Zero, or c x^e + c' psi_a psi_b: an even Grassmann element."""
+    if draw(st.booleans()):
+        return GrassmannElement()
+    c, c2 = draw(_ZERO_OR_RATIONAL), draw(_ZERO_OR_RATIONAL)
+    a, b = draw(st.permutations(range(4)))[:2]
+    return c * even("x", draw(st.integers(0, 2))) + c2 * odd(f"psi{a}") * odd(f"psi{b}")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(1, 6), st.data())
+def test_evaluate_skips_only_monomials_on_zero_values(K, data):
+    poly = data.draw(graded_polynomials(K, "ph")) + GradedPolynomial.one(K, "ph")
+    rationals = data.draw(st.lists(_ZERO_OR_RATIONAL, min_size=K, max_size=K))
+    grassmann = data.draw(st.lists(_even_grassmann_values(), min_size=K, max_size=K))
+    for values in (rationals, grassmann, [GrassmannElement()] * K):
+        assert poly.evaluate(values) == _evaluate_every_monomial(poly, values)
+
+
+def test_evaluate_keeps_monomials_off_the_zero_values():
+    K = 3
+    ph = [GradedPolynomial.generator(i, K, "ph") for i in range(1, K + 1)]
+    poly = 2 * GradedPolynomial.one(K, "ph") + ph[0] * ph[1] + 3 * ph[2]
+    assert poly.evaluate([Fraction(0), Fraction(5), Fraction(7)]) == 23
+    assert poly.evaluate([Fraction(0)] * K) == 2
+    x = even("x")
+    assert poly.evaluate([GrassmannElement(), x, x * x]) == 2 + 3 * x * x
 
 
 def test_substitute_needs_homogeneous_images():

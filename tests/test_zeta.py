@@ -319,8 +319,9 @@ _EVEN_FACTORS = [scalar(1), even("x"), even("x", 2), even("y", -1)]
 def curvatures(draw):
     """An antisymmetric n x n matrix (n <= 5) over g <= 12 odd generators
     whose entries are sums of c e psi_a psi_b (c in Q(i), e an even monomial
-    or 1), and a shuffled list of the orders 1..g+2.  Past ten generators the
-    name order (psi10 < psi2) differs from the index order."""
+    or 1), and a shuffled list of the orders 1..g+2 followed by a few of them
+    again.  Past ten generators the name order (psi10 < psi2) differs from
+    the index order."""
     n = draw(st.integers(1, 5))
     g = draw(st.integers(2, 12))
     psi = [odd(f"psi{a}") for a in range(g)]
@@ -339,6 +340,7 @@ def curvatures(draw):
                 entry = entry + c * e * psi[a] * psi[b]
             rows[i][j], rows[j][i] = entry, -entry
     orders = draw(st.permutations(range(1, g + 3)))
+    orders += draw(st.lists(st.sampled_from(orders), max_size=4))
     return rows, g, orders
 
 
@@ -366,7 +368,24 @@ def test_matrix_power_trace_matches_repeated_products(case):
         assert trace == traces[m - 1]
         if 2 * m > g:
             assert trace.is_zero()
-    # the concrete pipeline against the formal route at the same ph values
+        if m % 2 == 0:
+            assert matrix.scaled_trace(m // 2) == (-1) ** (m // 2) * even("r", m) * traces[m - 1]
+    # the concrete pipeline against the formal route at the same ph values;
+    # the ph values past max_relevant_k() vanish, so the formal polynomial in
+    # ph_1..ph_{g/2} gives the same value
     K = matrix.max_relevant_k()
-    phs = [zs.curvature_to_ph(matrix, k) for k in range(1, K + 1)]
-    assert zs.sdet_concrete(matrix) == zs.substitute_ph(zs.sdet_formal(n, K), phs)
+    phs = [zs.curvature_to_ph(matrix, k) for k in range(1, g // 2 + 1)]
+    value = zs.substitute_ph(zs.sdet_formal(n, K), phs[:K])
+    assert zs.sdet_concrete(matrix) == value
+    assert zs.substitute_ph(zs.sdet_formal(n, g // 2), phs) == value
+
+
+def test_traces_handed_out_are_not_the_kept_ones():
+    # matrix_power_trace and curvature_to_ph build a new element per call;
+    # scaled_trace hands every caller the one element it keeps per k
+    matrix = zs.CurvatureMatrix(_four_cycle())
+    for read in (matrix.matrix_power_trace, lambda m: zs.curvature_to_ph(matrix, m // 2)):
+        first = read(4)
+        kept = GrassmannElement(first.terms)
+        first.terms.clear()
+        assert not read(4).is_zero() and read(4) == kept
