@@ -4,6 +4,13 @@ Subcommands: verify, lpoly, lgenus, sdet, zeta, pushforward.  Output is
 pretty text or canonical JSON (sorted keys, compact separators), identical
 bytes for identical invocations.  Exit codes: 0 success, 1 a verified
 identity failed, 2 usage or input error.
+
+Each subcommand imports the layers it runs when it starts, not when this
+module loads: ``lgenus`` and ``pushforward`` load only ``series`` and
+``manifolds``, ``sdet`` and ``zeta`` load ``zeta`` and what it builds on,
+and only ``verify`` loads every layer.  A CLI call is a fresh process that
+compiles what it imports, so start-up is most of what a small call costs;
+for the same reason the package defines its records without dataclasses.
 """
 
 from __future__ import annotations
@@ -14,10 +21,9 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from . import manifolds as mf
-from . import series as cs
-from . import verify as vf
-from . import zeta as zs
+# verify.SUITES in run order, spelled out so that building the parser does
+# not import verify; a test holds the two equal
+SUITE_NAMES = ("grassmann", "susy", "series", "zeta")
 
 
 def _positive_int(raw: str) -> int:
@@ -42,7 +48,8 @@ def _emit(payload: dict, text_lines: List[str], fmt: str) -> None:
             sys.stdout.write(line + "\n")
 
 
-def _load_manifold_arg(source: str) -> mf.ManifoldLike:
+def _load_manifold_arg(source: str):
+    from . import manifolds as mf
     if source.startswith("builtin:"):
         return mf.builtin(source.split(":", 1)[1])
     if source in mf.BUILTIN_NAMES:
@@ -55,6 +62,7 @@ def _load_manifold_arg(source: str) -> mf.ManifoldLike:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    from . import verify as vf
     suites = list(vf.SUITES) if args.suite == "all" else [args.suite]
     results: List[vf.CheckResult] = []
     for suite in suites:
@@ -82,6 +90,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lpoly(args) -> int:
+    from . import series as cs
     K = args.k
     polys = cs.l_polynomials(K)
     payload = {
@@ -96,16 +105,18 @@ def _cmd_lpoly(args) -> int:
     return 0
 
 
-def _pontryagin_data(manifold: mf.ManifoldLike) -> mf.PontryaginData:
-    if isinstance(manifold, mf.CohomologyModel):
-        return manifold.pontryagin_data()
-    return manifold
-
+# The two manifold subcommands turn a rejected document or class expression
+# into a usage error themselves, so that main() needs no manifolds import.
 
 def _cmd_lgenus(args) -> int:
-    manifold = _load_manifold_arg(args.manifold)
-    data = _pontryagin_data(manifold)
-    genus = mf.l_genus(data)
+    from . import manifolds as mf
+    try:
+        data = _load_manifold_arg(args.manifold)
+        if isinstance(data, mf.CohomologyModel):
+            data = data.pontryagin_data()
+        genus = mf.l_genus(data)
+    except (mf.ManifoldParseError, mf.ManifoldValidationError) as exc:
+        raise SystemExit(f"supersdet: {exc}") from None
     match = genus == data.signature
     payload = {
         "manifold": data.name,
@@ -121,6 +132,8 @@ def _cmd_lgenus(args) -> int:
 
 
 def _cmd_sdet(args) -> int:
+    from . import series as cs
+    from . import zeta as zs
     K = args.k
     if args.mode == "concrete":
         dim = zs.demo_curvature().n
@@ -145,6 +158,7 @@ def _cmd_sdet(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    from . import zeta as zs
     if args.what == "product":
         if args.n is None:
             raise SystemExit("supersdet zeta --what product needs --n")
@@ -176,12 +190,16 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_pushforward(args) -> int:
-    manifold = _load_manifold_arg(args.manifold)
-    if not isinstance(manifold, mf.CohomologyModel):
-        raise SystemExit(
-            f"supersdet pushforward: manifold {manifold.name!r} has no ring model")
-    element = mf.parse_class(getattr(args, "class_expr"), manifold)
-    value = mf.pushforward(element, manifold)
+    from . import manifolds as mf
+    try:
+        manifold = _load_manifold_arg(args.manifold)
+        if not isinstance(manifold, mf.CohomologyModel):
+            raise SystemExit(
+                f"supersdet pushforward: manifold {manifold.name!r} has no ring model")
+        element = mf.parse_class(getattr(args, "class_expr"), manifold)
+        value = mf.pushforward(element, manifold)
+    except (mf.ManifoldParseError, mf.ManifoldValidationError) as exc:
+        raise SystemExit(f"supersdet: {exc}") from None
     payload = {
         "manifold": manifold.name,
         "class": getattr(args, "class_expr"),
@@ -207,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("pretty", "json"), default="pretty")
 
     p_verify = sub.add_parser("verify", help="run the identity suites")
-    p_verify.add_argument("--suite", choices=tuple(vf.SUITES) + ("all",), default="all")
+    p_verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -261,9 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stderr.write(exc.code + "\n")
             return 2
         raise
-    except (mf.ManifoldParseError, mf.ManifoldValidationError) as exc:
-        sys.stderr.write(f"supersdet: {exc}\n")
-        return 2
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"supersdet: {exc}\n")
         return 2

@@ -70,9 +70,11 @@ class GaussianRational:
         return _of(-self.re, -self.im)
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        if not GaussianRational._accepts(other):
+        if isinstance(other, (int, Fraction)):
+            # a rational factor scales both parts
+            return _of(self.re * other, self.im * other)
+        if not isinstance(other, GaussianRational):
             return NotImplemented
-        other = GaussianRational.coerce(other)
         if not self.im and not other.im:
             # real times real: one rational product
             return _of(self.re * other.re, _FRACTION_ZERO)
@@ -122,7 +124,7 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __repr__(self) -> str:
         if self.im == 0:

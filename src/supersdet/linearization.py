@@ -38,11 +38,11 @@ zeta.PA_BOUNDARY, the one table the superdeterminant reads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import I
 from .grassmann import GrassmannElement, bit, even, names, odd, scalar, sign
+from .terms import Record
 from .zeta import BoundaryCondition
 
 G = GrassmannElement
@@ -209,11 +209,14 @@ def derive_boundary_conditions() -> Dict[str, BoundaryCondition]:
 # the expansion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LinearizedAction:
-    dim: int
-    lagrangian: G                      # normal form modulo total dt
-    boundary_conditions: Dict[str, BoundaryCondition]
+class LinearizedAction(Record):
+    __slots__ = ("dim", "lagrangian", "boundary_conditions")
+
+    def __init__(self, dim: int, lagrangian: G,
+                 boundary_conditions: Dict[str, BoundaryCondition]):
+        self.dim = dim
+        self.lagrangian = lagrangian  # normal form modulo total dt
+        self.boundary_conditions = boundary_conditions
 
 
 def quadratic_form(n: int) -> G:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import product as iter_product
@@ -77,16 +76,15 @@ def _coerce_number(value, path: str) -> Fraction:
     raise ManifoldParseError(f"{path}: expected an integer or {{num, den}}")
 
 
-@dataclass
-class PontryaginData:
+class PontryaginData(terms.Record):
     """Pontryagin numbers of a closed oriented 4k-manifold."""
 
-    name: str
-    dimension: int
-    numbers: Dict[Partition, Fraction]
-    signature: Fraction
+    __slots__ = ("name", "dimension", "numbers", "signature")
 
-    def __post_init__(self):
+    def __init__(self, name: str, dimension: int, numbers: Dict[Partition, Fraction],
+                 signature: Fraction):
+        self.name, self.dimension, self.numbers, self.signature = \
+            name, dimension, numbers, signature
         if self.dimension % 4 != 0 or self.dimension < 0:
             raise ManifoldParseError(
                 f"{self.name}: dimension must be a nonnegative multiple of 4")

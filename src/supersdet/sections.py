@@ -23,12 +23,11 @@ derivative terms cancel precisely on r^{deg/2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
 from . import terms
-from .gaussian import GaussianRational, ScalarLike
+from .gaussian import GaussianRational, ScalarLike, _of
 from .grassmann import EvenMono, GrassmannElement, TermKey, bit, even, odd, scalar, sign
 
 R = "r"
@@ -117,11 +116,13 @@ def apply_Q(s: GrassmannElement) -> GrassmannElement:
     for (mask, even_part), c in s.terms.items():
         if mask & rho:
             continue  # rho^2 = 0
-        # -2i rho d/dr + i (rho/r) deg sends r^q omega to i (deg - 2q) r^{q-1} rho omega
+        # -2i rho d/dr + i (rho/r) deg sends r^q omega to i (deg - 2q) r^{q-1} rho omega;
+        # the weight carries the sign of moving rho in front of omega's generators
         q = _r_power(even_part)
-        weight = GaussianRational(0, mask.bit_count() - 2 * q)
+        weight = (mask.bit_count() - 2 * q) * sign(rho, mask)
         if weight:
-            out[(mask | rho, _with_r_power(even_part, q - 1))] = c * weight * sign(rho, mask)
+            key = (mask | rho, _with_r_power(even_part, q - 1))
+            out[key] = _of(-c.im * weight, c.re * weight)  # i * weight * c
     return GrassmannElement._of(out) - d(s)
 
 
@@ -159,12 +160,13 @@ def is_section_of(s: GrassmannElement, k: int) -> bool:
     return g <= {k % 4}
 
 
-@dataclass(frozen=True)
-class TwoPiPower:
+class TwoPiPower(terms.Record):
     """rational * (2 pi)^exponent, exponent half-integer, never evaluated."""
 
-    coefficient: Fraction
-    exponent: Fraction
+    __slots__ = ("coefficient", "exponent")
+
+    def __init__(self, coefficient: Fraction, exponent: Fraction):
+        self.coefficient, self.exponent = coefficient, exponent
 
     def __mul__(self, other: "TwoPiPower") -> "TwoPiPower":
         return TwoPiPower(self.coefficient * other.coefficient,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,12 +50,13 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-@dataclass(frozen=True)
-class PiValue:
+class PiValue(terms.Record):
     """An exact rational multiple of an integer power of pi."""
 
-    coefficient: Fraction
-    pi_power: int
+    __slots__ = ("coefficient", "pi_power")
+
+    def __init__(self, coefficient: Fraction, pi_power: int):
+        self.coefficient, self.pi_power = coefficient, pi_power
 
     def __rmul__(self, other) -> "PiValue":
         return PiValue(self.coefficient * Fraction(other), self.pi_power)

@@ -13,11 +13,11 @@ i as the 1|2-dimensional one (so the evident inclusion is a homomorphism).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .gaussian import I
 from .grassmann import GrassmannElement, even, odd, scalar
+from .terms import Record
 
 G = GrassmannElement
 
@@ -26,17 +26,17 @@ G = GrassmannElement
 # points and translations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuperPoint:
+class SuperPoint(Record):
     """A point of R^{1|2}: one even coordinate and two odd ones."""
 
-    even_part: GrassmannElement
-    odd_parts: Tuple[GrassmannElement, GrassmannElement]
+    __slots__ = ("even_part", "odd_parts")
 
-    def __post_init__(self):
-        if self.even_part.parity() != 0:
+    def __init__(self, even_part: GrassmannElement,
+                 odd_parts: Tuple[GrassmannElement, GrassmannElement]):
+        self.even_part, self.odd_parts = even_part, odd_parts
+        if even_part.parity() != 0:
             raise ValueError("even coordinate has odd terms")
-        for component in self.odd_parts:
+        for component in odd_parts:
             if not component.is_zero() and component.parity() != 1:
                 raise ValueError("odd coordinate has even terms")
 
@@ -79,13 +79,15 @@ def multiply_r11(a: Tuple[G, G], b: Tuple[G, G]) -> Tuple[G, G]:
 # the time-reversal group T
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimeReversal:
+class TimeReversal(Record):
     """Normal form rp^a * rm^b in the order-8 abelian group generated by the
     two time reversals rp, rm with rp^4 = e and rp^2 = rm^2."""
 
-    plus: int = 0   # exponent of rp, mod 4 after folding rm^2 -> rp^2
-    minus: int = 0  # exponent of rm, mod 2
+    __slots__ = ("plus", "minus")
+
+    def __init__(self, plus: int = 0, minus: int = 0):
+        self.plus = plus    # exponent of rp, mod 4 after folding rm^2 -> rp^2
+        self.minus = minus  # exponent of rm, mod 2
 
     @staticmethod
     def word(plus: int = 0, minus: int = 0) -> "TimeReversal":
@@ -210,12 +212,15 @@ def proj_R(p: SuperPoint, R: Radius) -> G:
 Translation = Tuple[G, G, G]  # (u, nu1, nu2)
 
 
-@dataclass
-class DescentResult:
-    descends: bool
-    generator: Optional[Radius]       # positive generator of the image lattice
-    orientation: int                  # +1, or -1 when the lattice was regenerated backwards
-    residual: Optional[SuperPoint]    # difference of the two sides when not descending
+class DescentResult(Record):
+    __slots__ = ("descends", "generator", "orientation", "residual")
+
+    def __init__(self, descends: bool, generator: Optional[Radius], orientation: int,
+                 residual: Optional[SuperPoint]):
+        self.descends = descends
+        self.generator = generator      # positive generator of the image lattice
+        self.orientation = orientation  # +1, or -1 when the lattice was regenerated backwards
+        self.residual = residual        # difference of the two sides when not descending
 
 
 _FRESH = ("_pt_t", "_pt_th1", "_pt_th2")
@@ -309,12 +314,13 @@ def descend_check(iso: Union[Translation, TimeReversal, Tuple[Translation, TimeR
 # the induced map on the odd line, and the action on fields
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OddAffineMap:
+class OddAffineMap(Record):
     """theta -> alpha + beta * theta with alpha odd and beta an even unit."""
 
-    alpha: G
-    beta: G
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: G, beta: G):
+        self.alpha, self.beta = alpha, beta
 
     def __call__(self, theta: G) -> G:
         return self.alpha + self.beta * theta

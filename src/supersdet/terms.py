@@ -10,7 +10,7 @@ a key means, and how two keys multiply, stays with the algebra that owns
 it: the sign of a product of anticommuting generators, for one, is
 grassmann.sign.  The grading recurrence at the end sums every exponential
 and every unit inverse, over whatever grading its caller cuts the element
-into.
+into.  `Record` is the base of the package's small value classes.
 """
 
 from __future__ import annotations
@@ -103,3 +103,28 @@ def graded_series(parts: Sequence, first, coefficient: Callable[[int, int], obje
 def exp_coefficient(j: int, w: int) -> Fraction:
     """The coefficient j/w under which graded_series sums an exponential."""
     return Fraction(j, w)
+
+
+class Record:
+    """A value class whose fields are its ``__slots__``: equality, hash and
+    repr read them in order, as a dataclass's would.  The package defines its
+    records this way because importing dataclasses (and with it inspect, ast,
+    dis and tokenize) costs a CLI process more start-up time than most of its
+    commands take to compute."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

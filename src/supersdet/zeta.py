@@ -24,7 +24,6 @@ classes under the Newton conversion (see curvature_to_ph).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -38,6 +37,7 @@ from .series import (
     lambda_over_2pii,
     zeta_over_2pii,
 )
+from .terms import Record
 
 
 class BoundaryCondition(Enum):
@@ -54,12 +54,13 @@ PA_BOUNDARY = {
 }
 
 
-@dataclass(frozen=True)
-class RPower:
+class RPower(Record):
     """An exact rational times an exact power of the symbolic radius r."""
 
-    coefficient: Fraction
-    r_exponent: Fraction
+    __slots__ = ("coefficient", "r_exponent")
+
+    def __init__(self, coefficient: Fraction, r_exponent: Fraction):
+        self.coefficient, self.r_exponent = coefficient, r_exponent
 
 
 def regularized_product_power(n: int) -> RPower:
@@ -311,12 +312,6 @@ def sdet_formal(n: int, K: int, pp: bool = False) -> GradedPolynomial:
 def sdet_concrete(matrix: CurvatureMatrix, pp: bool = False) -> GrassmannElement:
     """Concrete-mode superdeterminant for a Grassmann curvature matrix."""
     return sdet(matrix, pp)  # type: ignore[return-value]
-
-
-def sdet_matches_l_class(n: int, K: int) -> bool:
-    """The central identity: formal sdet equals the total signature class in
-    Pontryagin-character variables, both sides computed by independent routes."""
-    return sdet_formal(n, K) == l_class_in_ph(K)
 
 
 def demo_curvature() -> CurvatureMatrix:

@@ -179,15 +179,41 @@ def test_fraction_numbers_load_like_integers(capsys, tmp_path):
     assert [code for code, _out, _err in outputs[0]] == [0, 0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lgenus", "--manifold", "builtin:nosuch"],
+     "supersdet: unknown builtin manifold 'nosuch'; "
+     "available: cp2, cp4, hp2, k3, cp2xcp2, k3xcp2\n"),
+    (["pushforward", "--manifold", "builtin:nosuch", "--class", "1"],
+     "supersdet: unknown builtin manifold 'nosuch'; "
+     "available: cp2, cp4, hp2, k3, cp2xcp2, k3xcp2\n"),
+    (["lgenus", "--manifold", "{document}"], "supersdet: document.dimension: missing\n"),
+    (["pushforward", "--manifold", "{document}", "--class", "1"],
+     "supersdet: document.dimension: missing\n"),
+    (["pushforward", "--manifold", "cp2", "--class", "1/0*h"],
+     "supersdet: class expression: '1/0' has a zero denominator\n"),
+], ids=["lgenus-unknown-builtin", "pushforward-unknown-builtin", "lgenus-malformed",
+        "pushforward-malformed", "pushforward-class"])
+def test_manifold_subcommands_report_input_errors(capsys, tmp_path, argv, message):
+    # the manifold subcommands turn rejected input into a usage error themselves
+    document = tmp_path / "m.json"
+    document.write_text(json.dumps({"name": "bogus"}))
+    argv = [str(document) if arg == "{document}" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     from supersdet import series as cs
+    from supersdet import zeta as zs
 
-    def broken(K):
+    def broken(*args, **kwargs):
         raise ValueError("planted internal fault")
 
     monkeypatch.setattr(cs, "l_polynomials", broken)
-    with pytest.raises(ValueError, match="planted internal fault"):
-        cli.main(["lpoly", "--k", "2"])
+    monkeypatch.setattr(zs, "sdet_report", broken)
+    for argv in (["lpoly", "--k", "2"], ["sdet", "--n", "4"]):
+        with pytest.raises(ValueError, match="planted internal fault"):
+            cli.main(argv)
 
 
 def test_zeta_subcommand(capsys):
@@ -271,15 +297,45 @@ def test_console_script_runs():
     assert "MATCH" in proc.stdout
 
 
-def test_zeta_import_leaves_the_upper_layers_unloaded():
-    # the package root re-exports nothing, so importing one layer loads only
-    # that layer and the ones it builds on
-    upper = ["manifolds", "superspace", "linearization", "sections", "verify"]
-    code = ("import sys, supersdet.zeta\n"
-            f"print([m for m in {upper!r} if 'supersdet.' + m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code],
+LOADED_AFTER = """
+import json, sys
+from supersdet import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m[len("supersdet."):] for m in sys.modules if m.startswith("supersdet."))
+sys.stderr.write(json.dumps({"code": code, "loaded": loaded,
+                             "dataclasses": "dataclasses" in sys.modules}) + "\\n")
+"""
+
+ZETA_LAYERS = ["cli", "gaussian", "grassmann", "series", "terms", "zeta"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    # supersdet.data is the package the builtin manifold documents ship in
+    (["lgenus", "--manifold", "cp2"], ["cli", "data", "manifolds", "series", "terms"]),
+    (["pushforward", "--manifold", "k3", "--class", "3*v"],
+     ["cli", "data", "manifolds", "series", "terms"]),
+    (["lpoly", "--k", "2"], ["cli", "series", "terms"]),
+    (["sdet", "--n", "4", "--k", "2"], ZETA_LAYERS),
+    (["sdet", "--n", "4", "--mode", "concrete"], ZETA_LAYERS),
+    (["zeta", "--what", "product", "--n", "2"], ZETA_LAYERS),
+    (["zeta", "--what", "trace", "--k", "1"], ZETA_LAYERS),
+    (["verify", "--suite", "zeta"], sorted(ZETA_LAYERS + [
+        "linearization", "sections", "superspace", "verify"])),
+], ids=["lgenus", "pushforward", "lpoly", "sdet", "sdet-concrete", "zeta", "zeta-trace",
+        "verify"])
+def test_subcommand_loads_only_its_layers(argv, layers):
+    # a subcommand imports the layers it runs when it starts; verify imports
+    # every layer but manifolds, and no layer imports dataclasses
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER] + argv,
                           capture_output=True, text=True, env=CHILD_ENV, check=True)
-    assert proc.stdout.strip() == "[]"
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report == {"code": 0, "loaded": layers, "dataclasses": False}
+
+
+def test_suite_choices_are_the_verify_suites():
+    from supersdet import verify as vf
+
+    assert cli.SUITE_NAMES == tuple(vf.SUITES)
 
 
 def test_unknown_flag_rejected(capsys):

@@ -59,10 +59,16 @@ operands = st.one_of(
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(operands, st.one_of(operands, st.integers(-3, 3), rationals))
 def test_product_matches_the_formula(a, b):
+    # b is a Q(i) value, an int or a Fraction, on either side of the product
     c = GaussianRational.coerce(b)
+    re, im = a.re * c.re - a.im * c.im, a.re * c.im + a.im * c.re
+    expected = GaussianRational(re, im)
     for p in (a * b, b * a):
         assert type(p.re) is Fraction and type(p.im) is Fraction
-        assert (p.re, p.im) == (a.re * c.re - a.im * c.im, a.re * c.im + a.im * c.re)
+        assert (p.re, p.im) == (re, im)
+        # the same value as one built through __init__, in every respect
+        assert p == expected and expected == p
+        assert hash(p) == hash(expected) and repr(p) == repr(expected)
         if p.im == 0:
             assert p == p.re and p.re == p
             assert hash(p) == hash(p.re)
