@@ -97,18 +97,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / norm,
         )
 
-    def __pow__(self, n: int) -> "GaussianRational":
-        if n < 0:
-            return ONE / (self ** (-n))
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def is_rational(self) -> bool:
         return self.im == 0
 
@@ -135,5 +123,4 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 from fractions import Fraction
 from importlib import resources
 from itertools import product as iter_product
@@ -77,7 +76,8 @@ def _coerce_number(value, path: str) -> Fraction:
 
 
 class PontryaginData(terms.Record):
-    """Pontryagin numbers of a closed oriented 4k-manifold."""
+    """Pontryagin numbers of a closed oriented 4k-manifold: one for every
+    partition of dimension/4, as the pontryagin_numbers of its document."""
 
     __slots__ = ("name", "dimension", "numbers", "signature")
 
@@ -93,18 +93,14 @@ class PontryaginData(terms.Record):
             if sum(partition) != w:
                 raise ManifoldParseError(
                     f"{self.name}: partition {partition} does not have weight {w}")
+        for partition in partitions_of(w):
+            if partition not in self.numbers:
+                raise ManifoldParseError("document.pontryagin_numbers: "
+                                         f"missing {partition_key(partition) or '1'}")
 
     @property
     def weight(self) -> int:
         return self.dimension // 4
-
-    def number(self, partition: Partition) -> Fraction:
-        partition = tuple(sorted(partition, reverse=True))
-        if partition not in self.numbers:
-            warnings.warn(f"{self.name}: missing Pontryagin number {partition_key(partition)}, "
-                          "treating as 0")
-            return Fraction(0)
-        return self.numbers[partition]
 
 
 def l_genus(M: PontryaginData) -> Fraction:
@@ -112,14 +108,14 @@ def l_genus(M: PontryaginData) -> Fraction:
     k = M.weight
     if k == 0:
         # the point: the genus is the pairing of 1 with the fundamental class
-        return M.number(())
+        return M.numbers[()]
     poly = l_polynomials(k)[k - 1]
     total = Fraction(0)
     for exps, coeff in poly.coeffs.items():
         partition: List[int] = []
         for i, e in enumerate(exps):
             partition.extend([i + 1] * e)
-        total += coeff * M.number(tuple(sorted(partition, reverse=True)))
+        total += coeff * M.numbers[tuple(sorted(partition, reverse=True))]
     return total
 
 
@@ -139,7 +135,7 @@ def product_manifold(M: PontryaginData, N: PontryaginData) -> PontryaginData:
             right = tuple(sorted((b for _a, b in assignment if b), reverse=True))
             if sum(left) != wm or sum(right) != wn:
                 continue
-            total += M.number(left) * N.number(right)
+            total += M.numbers[left] * N.numbers[right]
         numbers[partition] = total
     return PontryaginData(
         name=f"{M.name}x{N.name}",
@@ -371,12 +367,7 @@ def load_manifold(document: dict) -> ManifoldLike:
     if kind == "pontryagin_numbers":
         if numbers is None:
             raise ManifoldParseError("document.pontryagin_numbers: missing")
-        data = PontryaginData(name, dimension, numbers, signature)
-        for partition in partitions_of(data.weight):
-            if partition not in numbers:
-                raise ManifoldParseError("document.pontryagin_numbers: "
-                                         f"missing {partition_key(partition) or '1'}")
-        return data
+        return PontryaginData(name, dimension, numbers, signature)
 
     if kind != "cohomology_model":
         raise ManifoldParseError(f"document.kind: unknown kind {kind!r}")

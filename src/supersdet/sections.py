@@ -102,10 +102,6 @@ def degree_component(form: GrassmannElement, k: int) -> GrassmannElement:
                                  if key[0].bit_count() == k})
 
 
-def is_closed(form: GrassmannElement) -> bool:
-    return d(form).is_zero()
-
-
 # -- the supercharge
 
 def apply_Q(s: GrassmannElement) -> GrassmannElement:
@@ -130,10 +126,6 @@ def is_supersymmetric(s: GrassmannElement) -> bool:
     return apply_Q(s).is_zero()
 
 
-def q_squared(s: GrassmannElement) -> GrassmannElement:
-    return apply_Q(apply_Q(s))
-
-
 def rho_d(s: GrassmannElement) -> GrassmannElement:
     """The operator rho (x) d (sending rho-terms to zero, as rho^2 = 0); Q^2
     equals -(i/r) times this, an identity the suite establishes on a spanning
@@ -153,11 +145,6 @@ def grade(s: GrassmannElement) -> Set[int]:
     a rho-term in deg + 1 (the odd radius coordinate carries one unit of the
     finite-group weight, which is what keeps Q acting homogeneously)."""
     return {mask.bit_count() % 4 for (mask, _e) in s.terms}
-
-
-def is_section_of(s: GrassmannElement, k: int) -> bool:
-    g = grade(s)
-    return g <= {k % 4}
 
 
 class TwoPiPower(terms.Record):

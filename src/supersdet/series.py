@@ -5,10 +5,9 @@ and Pontryagin classes, and the signature class `l_class` they combine into.
 All arithmetic is exact.  Coefficients are rationals; GradedPolynomial.exp
 and .substitute clear them to integer numerators over one denominator per
 weight piece, with packed int monomial keys, and divide back once per result
-coefficient.  pi is never evaluated: even zeta values are carried as rational
-multiples of explicit pi-powers, and the combinations entering the
-regularized determinants collapse to plain rationals
-(zeta(2k)/(2 pi i)^{2k} = -B_{2k}/(2 (2k)!)).
+coefficient.  pi never enters: the regularized determinants need only the
+rationals zeta(2k)/(2 pi i)^{2k} = -B_{2k}/(2 (2k)!) and their odd-mode
+counterparts, which come from the Bernoulli numbers.
 
 Root-variable convention.  The characteristic series of the signature genus
 is carried in two equivalent normalizations: `l_series` expands
@@ -50,28 +49,6 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-class PiValue(terms.Record):
-    """An exact rational multiple of an integer power of pi."""
-
-    __slots__ = ("coefficient", "pi_power")
-
-    def __init__(self, coefficient: Fraction, pi_power: int):
-        self.coefficient, self.pi_power = coefficient, pi_power
-
-    def __rmul__(self, other) -> "PiValue":
-        return PiValue(self.coefficient * Fraction(other), self.pi_power)
-
-
-def zeta_even(two_k: int) -> PiValue:
-    """zeta(2k) as an exact rational multiple of pi^{2k} (Euler)."""
-    if two_k <= 0 or two_k % 2 != 0:
-        raise ValueError("argument must be a positive even integer")
-    k = two_k // 2
-    coeff = Fraction((-1) ** (k + 1)) * bernoulli(two_k) * Fraction(2) ** two_k \
-        / (2 * math.factorial(two_k))
-    return PiValue(coeff, two_k)
-
-
 def zeta_over_2pii(two_k: int) -> Fraction:
     """The exactly rational combination zeta(2k)/(2 pi i)^{2k} = -B_{2k}/(2 (2k)!)."""
     if two_k <= 0 or two_k % 2 != 0:
@@ -79,13 +56,9 @@ def zeta_over_2pii(two_k: int) -> Fraction:
     return -bernoulli(two_k) / (2 * math.factorial(two_k))
 
 
-def lambda_half(two_k: int) -> PiValue:
-    """The odd-mode sum sum_{n>=1} (n - 1/2)^{-2k} = (2^{2k} - 1) zeta(2k)."""
-    return (Fraction(2) ** two_k - 1) * zeta_even(two_k)
-
-
 def lambda_over_2pii(two_k: int) -> Fraction:
-    """lambda_half(2k)/(2 pi i)^{2k}, exactly rational."""
+    """The odd-mode sum sum_{n>=1} (n - 1/2)^{-2k} = (2^{2k} - 1) zeta(2k) over
+    (2 pi i)^{2k}, exactly rational."""
     return (Fraction(2) ** two_k - 1) * zeta_over_2pii(two_k)
 
 
@@ -477,27 +450,23 @@ def elementary_in_ph(k: int, nvars: int) -> GradedPolynomial:
     return Fraction(1, k) * acc
 
 
-def pontryagin_to_powersums(K: int) -> Callable[[GradedPolynomial], GradedPolynomial]:
+def pontryagin_to_powersums(poly: GradedPolynomial) -> GradedPolynomial:
     """Map a p-basis polynomial to the ph-basis, substituting each p_i by its
     Newton expression in the scaled power sums s_k = (2k)! ph_k."""
-    return _substitution("p", [elementary_in_ph(i, K) for i in range(1, K + 1)])
+    if poly.basis != "p":
+        raise ValueError("expected a p-basis polynomial")
+    K = poly.nvars
+    return poly.substitute([elementary_in_ph(i, K) for i in range(1, K + 1)])
 
 
-def powersums_to_pontryagin(K: int) -> Callable[[GradedPolynomial], GradedPolynomial]:
+def powersums_to_pontryagin(poly: GradedPolynomial) -> GradedPolynomial:
     """Map a ph-basis polynomial to the p-basis via ph_k = s_k/(2k)! and the
     Newton expression of s_k in elementary symmetric functions."""
-    return _substitution("ph", [Fraction(1, math.factorial(2 * k)) * power_sum_in_elementary(k, K)
-                                for k in range(1, K + 1)])
-
-
-def _substitution(basis: str, images: List[GradedPolynomial]):
-    """poly -> poly.substitute(images), for polynomials in the given basis."""
-    def convert(poly: GradedPolynomial) -> GradedPolynomial:
-        if poly.basis != basis:
-            raise ValueError(f"expected a {basis}-basis polynomial")
-        return poly.substitute(images)
-
-    return convert
+    if poly.basis != "ph":
+        raise ValueError("expected a ph-basis polynomial")
+    K = poly.nvars
+    return poly.substitute([Fraction(1, math.factorial(2 * k)) * power_sum_in_elementary(k, K)
+                            for k in range(1, K + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -530,4 +499,4 @@ def l_class_in_ph(K: int) -> GradedPolynomial:
     superdeterminant."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    return pontryagin_to_powersums(K)(l_class(K))
+    return pontryagin_to_powersums(l_class(K))

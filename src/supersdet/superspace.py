@@ -13,7 +13,7 @@ i as the 1|2-dimensional one (so the evident inclusion is a homomorphism).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .gaussian import I
 from .grassmann import GrassmannElement, even, odd, scalar
@@ -97,9 +97,6 @@ class TimeReversal(Record):
 
     def __mul__(self, other: "TimeReversal") -> "TimeReversal":
         return TimeReversal.word(self.plus + other.plus, self.minus + other.minus)
-
-    def inverse(self) -> "TimeReversal":
-        return TimeReversal.word(-self.plus, -self.minus)
 
     def is_identity(self) -> bool:
         return self.plus == 0 and self.minus == 0
@@ -256,24 +253,19 @@ def _r_orientation(r_component: G) -> int:
     return 1 if coeff.re > 0 else -1
 
 
-def descend_check(iso: Union[Translation, TimeReversal, Tuple[Translation, TimeReversal]],
+def descend_check(translation: Optional[Translation], twist: TimeReversal,
                   R: Radius) -> DescentResult:
-    """Decide whether an isometry of the model space descends to the PA super
-    circles of super radius R, and compute the image lattice generator.
+    """Decide whether the isometry (translation, twist) of the model space
+    descends to the PA super circles of super radius R, and compute the image
+    lattice generator.  `translation` is a triple (u, nu1, nu2), or None for
+    a bare time reversal.
 
     The isometry attached to a translation g is the base-point-preserving map
-    p -> g p g^{-1}; a time reversal acts directly.  Descent is equivalence of
-    mu_{R'} composed with the isometry against the isometry composed with
-    mu_R, where R' is the generator obtained by conjugating (R, holonomy)
-    inside the super Euclidean group and re-orienting if needed.
+    p -> g twist(p) g^{-1}; a time reversal acts directly.  Descent is
+    equivalence of mu_{R'} composed with the isometry against the isometry
+    composed with mu_R, where R' is the generator obtained by conjugating
+    (R, holonomy) inside the super Euclidean group and re-orienting if needed.
     """
-    if isinstance(iso, TimeReversal):
-        translation: Optional[Translation] = None
-        twist = iso
-    elif isinstance(iso, tuple) and len(iso) == 2 and isinstance(iso[1], TimeReversal):
-        translation, twist = iso
-    else:
-        translation, twist = iso, TimeReversal()
     if translation is not None:
         translation = tuple(G.coerce(c) for c in translation)  # type: ignore[assignment]
 
@@ -333,40 +325,29 @@ class OddAffineMap(Record):
 _THETA = "_base_theta"
 
 
-def induced_base_map(iso: Union[Tuple[G, G], Tuple[Tuple[G, G], TimeReversal]],
-                     R: Radius) -> OddAffineMap:
+def induced_base_map(translation: Tuple[G, G], twist: TimeReversal,
+                     R: Radius) -> Tuple[OddAffineMap, Radius]:
     """The unique odd-affine map closing the square between the projections of
-    the source and image circles under a descending isometry.
+    the source and image circles under a descending isometry, together with
+    the image lattice generator that its descent analysis found.
 
-    `iso` is a 1|1 translation (u, nu1), optionally paired with a time
-    reversal.  The map is found by rewriting the image projection in the
-    invariant coordinate theta = o1 - rho1 t / r and checking that all
-    explicit t-dependence cancels; failure to cancel means no affine map
-    closes the square and is raised as an error.
+    The isometry is a 1|1 translation (u, nu1) followed by a time reversal.
+    The map is found by rewriting the image projection in the invariant
+    coordinate theta = o1 - rho1 t / r and checking that all explicit
+    t-dependence cancels; failure to cancel means no affine map closes the
+    square and is raised as an error.
     """
-    return _base_map_and_generator(iso, R)[0]
-
-
-def _base_map_and_generator(iso: Union[Tuple[G, G], Tuple[Tuple[G, G], TimeReversal]],
-                            R: Radius) -> Tuple[OddAffineMap, Radius]:
-    """induced_base_map together with the image lattice generator that its
-    descent analysis found."""
-    if isinstance(iso, tuple) and len(iso) == 2 and isinstance(iso[1], TimeReversal):
-        (u, nu1), twist = iso
-    else:
-        u, nu1 = iso  # type: ignore[misc]
-        twist = TimeReversal()
-    u, nu1 = G.coerce(u), G.coerce(nu1)
+    u, nu1 = G.coerce(translation[0]), G.coerce(translation[1])
     r, rho1 = G.coerce(R[0]), G.coerce(R[1])
 
-    translation: Translation = (u, nu1, scalar(0))
-    descent = descend_check((translation, twist), R)
+    triple: Translation = (u, nu1, scalar(0))
+    descent = descend_check(triple, twist, R)
     if not descent.descends:
         raise ValueError("isometry does not descend; no induced base map")
 
     p = _fresh_point(u, nu1, r, rho1)
     # the vertical arrow of the square: the plain left action p -> g . twist(p)
-    moved = _apply_isometry(translation, twist, p, base_point_preserving=False)
+    moved = _apply_isometry(triple, twist, p, base_point_preserving=False)
     rhs = proj_R(moved, descent.generator)
 
     # invert the source projection: o1 = theta + rho1 t / r
@@ -403,10 +384,9 @@ def action_on_fields(u, nu1, state: FieldState) -> FieldState:
     x - (nu1 - rho1 u / r) psi, (1 + i rho1 nu1 / r) psi); the verify suite's
     "action on field data" check compares the two.
     """
-    u, nu1 = G.coerce(u), G.coerce(nu1)
     r, rho1, x, psi = (G.coerce(c) for c in state)
 
-    base_map, (new_r, new_rho1) = _base_map_and_generator((u, nu1), (r, rho1))
+    base_map, (new_r, new_rho1) = induced_base_map((u, nu1), TimeReversal(), (r, rho1))
     inv = base_map.inverse()
     # phi0 = x + theta psi composed with theta -> inv.alpha + inv.beta theta
     x_new = x + inv.alpha * psi

@@ -162,11 +162,11 @@ def _check_descent() -> str:
     r, rho1 = even("r"), odd("rho1")
     u, nu1, nu2 = even("u"), odd("nu1"), odd("nu2")
     R = (r, rho1)
-    res = ss.descend_check((u, nu1, scalar(0)), R)
+    res = ss.descend_check((u, nu1, scalar(0)), ss.TimeReversal(), R)
     check(res.descends)
     check((res.generator[0] - (r + 2 * I * nu1 * rho1)).is_zero())
     check((res.generator[1] - rho1).is_zero())
-    res2 = ss.descend_check((u, nu1, nu2), R)
+    res2 = ss.descend_check((u, nu1, nu2), ss.TimeReversal(), R)
     check(not res2.descends)
     comps = [res2.residual.even_part] + list(res2.residual.odd_parts)
     check(any(not c.is_zero() for c in comps))
@@ -179,11 +179,11 @@ def _check_descent_time_reversal() -> str:
     r, rho1 = even("r"), odd("rho1")
     R = (r, rho1)
     for tw, sgn in ((ss.RP, -1), (ss.RM, 1)):
-        res = ss.descend_check(tw, R)
+        res = ss.descend_check(None, tw, R)
         check(res.descends, f"{tw} does not descend")
         check((res.generator[0] - r).is_zero())
         check((res.generator[1] - sgn * I * rho1).is_zero())
-    res = ss.descend_check(ss.PA_HOLONOMY, R)
+    res = ss.descend_check(None, ss.PA_HOLONOMY, R)
     check(res.descends and (res.generator[1] - rho1).is_zero())
     return "time reversals descend with image generator (r, -+ i rho1)"
 
@@ -191,15 +191,15 @@ def _check_descent_time_reversal() -> str:
 def _check_induced_base_map() -> str:
     r, rho1 = even("r"), odd("rho1")
     u, nu1 = even("u"), odd("nu1")
-    m = ss.induced_base_map((u, nu1), (r, rho1))
+    m, _ = ss.induced_base_map((u, nu1), ss.TimeReversal(), (r, rho1))
     r_inv = r.invert_unit()
     check((m.alpha - (nu1 - rho1 * u * r_inv)).is_zero())
     check((m.beta - (scalar(1) - I * rho1 * nu1 * r_inv)).is_zero())
-    ident = ss.induced_base_map((scalar(0), scalar(0)), (r, rho1))
+    ident, _ = ss.induced_base_map((scalar(0), scalar(0)), ss.TimeReversal(), (r, rho1))
     check(ident.alpha.is_zero() and (ident.beta - scalar(1)).is_zero())
-    mp = ss.induced_base_map(((scalar(0), scalar(0)), ss.RP), (r, scalar(0)))
+    mp, _ = ss.induced_base_map((scalar(0), scalar(0)), ss.RP, (r, scalar(0)))
     check(mp.alpha.is_zero() and (mp.beta - I * scalar(1)).is_zero())
-    mm = ss.induced_base_map(((scalar(0), scalar(0)), ss.RM), (r, scalar(0)))
+    mm, _ = ss.induced_base_map((scalar(0), scalar(0)), ss.RM, (r, scalar(0)))
     check(mm.alpha.is_zero() and (mm.beta + I * scalar(1)).is_zero())
     return "square closes; identity, translation and time-reversal cases agree"
 
@@ -270,7 +270,7 @@ def _random_form(rng: random.Random, n: int, degree: int, closed: bool) -> Grass
         const = sec.monomial([0] * n, sorted(rng.sample(range(1, n + 1), degree)),
                              GaussianRational(rng.randrange(1, 4)))
         out = acc + const
-        check(sec.is_closed(out))
+        check(sec.d(out).is_zero())
         return out
     # a monomial form with a coefficient depending on a variable outside the
     # index set is never closed; this needs 1 <= degree < n
@@ -309,6 +309,13 @@ def _check_q_kernel_randomized() -> str:
 
 
 def _check_q_squared() -> str:
+    # the monomials below are pinned against explicit products first, so a
+    # sign they carry shows here; the identity itself is linear in them
+    for idxs in ((2,), (2, 1), (3, 1, 2)):
+        explicit = 3 * sec.coordinate(1) * sec.coordinate(1) * sec.coordinate(3)
+        for i in idxs:
+            explicit = explicit * sec.d_coordinate(i)
+        check(sec.monomial([2, 0, 1], idxs, 3) == explicit, idxs)
     count = 0
     for n in (1, 2, 3, 4, 5):
         forms = [scalar(1)]
@@ -327,7 +334,7 @@ def _check_q_squared() -> str:
             for form in forms:
                 for rho in (0, 1):
                     s = sec.section(form, q, rho)
-                    lhs = sec.q_squared(s)
+                    lhs = sec.apply_Q(sec.apply_Q(s))
                     rhs = -1 * I * sec.scale_r(sec.rho_d(s), Fraction(-1))
                     check((lhs - rhs).is_zero(), (n, q, rho, form))
                     count += 1
@@ -350,7 +357,6 @@ def _check_grading() -> str:
     a = sec.section(sec.d_coordinate(1), Fraction(1, 2))
     b = sec.section(sec.d_coordinate(2), Fraction(1, 2))
     check(sec.grade(a * b) == {2})
-    check(sec.is_section_of(a, 1) and sec.is_section_of(a, 5))
     # Q sends a weight-homogeneous section to a weight-homogeneous image
     beta = sec.coordinate(1) * sec.d_coordinate(2)
     s = sec.section(beta, Fraction(1))
@@ -396,16 +402,14 @@ def _check_bernoulli_zeta() -> str:
     check(cs.bernoulli(2) == Fraction(1, 6))
     check(cs.bernoulli(4) == Fraction(-1, 30))
     check(cs.bernoulli(7) == 0)
-    check(cs.zeta_even(2).coefficient == Fraction(1, 6))
-    check(cs.zeta_even(4).coefficient == Fraction(1, 90))
     for k in range(1, 7):
         check(cs.zeta_over_2pii(2 * k) == -cs.bernoulli(2 * k) / (2 * math.factorial(2 * k)))
+    # zeta(2) = pi^2/6 and zeta(4) = pi^4/90 over (2 pi i)^{2k}
     check(cs.zeta_over_2pii(2) == Fraction(-1, 24))
     check(cs.zeta_over_2pii(4) == Fraction(1, 1440))
-    check(cs.lambda_half(2).coefficient == Fraction(1, 2))
-    check(cs.lambda_half(4).coefficient == Fraction(1, 6))
-    ratio = cs.lambda_half(2).coefficient / cs.zeta_even(2).coefficient
-    check(ratio == 3)
+    # the half-integer mode sums pi^2/2 and pi^4/6 over (2 pi i)^{2k}
+    check(cs.lambda_over_2pii(2) == Fraction(-1, 8))
+    check(cs.lambda_over_2pii(4) == Fraction(1, 96))
     return "Bernoulli recurrence, even zeta collapse, half-integer mode sums"
 
 
@@ -459,6 +463,17 @@ def _elementary(values: List[Fraction], K: int) -> List[Fraction]:
     return es
 
 
+def _product_at_roots(series: cs.TruncatedSeries, ys: List[Fraction], K: int) -> List[Fraction]:
+    """The weight-0..K parts of prod_j Q(x_j) at the squared roots x_j^2 =
+    ys[j], Q the even series given, through a graded epsilon parameter: no
+    exp, no Newton."""
+    eps = [Fraction(1)] + [Fraction(0)] * K
+    for y in ys:
+        factor = [series.coefficient(2 * k) * y ** k for k in range(K + 1)]
+        eps = [sum(eps[i] * factor[j - i] for i in range(j + 1)) for j in range(K + 1)]
+    return eps
+
+
 def _check_l_polynomials_oracle() -> str:
     rng = random.Random(11)
     K = 4
@@ -469,22 +484,16 @@ def _check_l_polynomials_oracle() -> str:
         ys = [Fraction(rng.randrange(1, 7), rng.randrange(1, 5)) for _ in range(m)]
         # elementary symmetric values of the squared roots
         es = _elementary(ys, K)
-        # epsilon-graded product of the series at each root
-        eps_poly = [Fraction(1)] + [Fraction(0)] * K
-        for y in ys:
-            factor = [series.coefficient(2 * k) * y ** k for k in range(K + 1)]
-            eps_poly = [sum(eps_poly[i] * factor[j - i] for i in range(j + 1))
-                        for j in range(K + 1)]
+        eps = _product_at_roots(series, ys, K)
         for k in range(1, K + 1):
             value = polys[k - 1].evaluate(es[1:])
-            check(value == eps_poly[k], (trial, k))
+            check(value == eps[k], (trial, k))
     return "L_1..L_4 match the brute-force product expansion at random roots"
 
 
 def _check_newton_roundtrip() -> str:
     K = 4
-    to_ph = cs.pontryagin_to_powersums(K)
-    to_p = cs.powersums_to_pontryagin(K)
+    to_ph, to_p = cs.pontryagin_to_powersums, cs.powersums_to_pontryagin
     rng = random.Random(5)
     for _ in range(10):
         exps = [0] * K
@@ -556,17 +565,27 @@ def _check_trace_values() -> str:
 
 
 def _check_sdet_identity() -> str:
+    seed = 13
+    rng = random.Random(seed)
     for K in (1, 2, 3, 4):
-        target = cs.l_class_in_ph(K)
-        for n in (1, 2, 4, 8):
-            check(zs.sdet_formal(n, K) == target, (n, K))
+        # the fiber dimension enters only the free parts, which cancel, so
+        # one n stands for every n
+        sdet = zs.sdet_formal(8, K)
+        check(sdet == cs.l_class_in_ph(K), K)
+        # the same value, without the exp both sides share: at ph_k =
+        # sum_j y_j^k/(2k)! the weight-w part of sdet is the weight-w part of
+        # the product of x/tanh x over the roots x_j^2 = y_j
+        ys = [Fraction(rng.randrange(1, 7), rng.randrange(1, 5)) for _ in range(2 * K)]
+        phs = [sum(y ** k for y in ys) / math.factorial(2 * k) for k in range(1, K + 1)]
+        eps = _product_at_roots(cs.l_series_doubled_root(2 * K), ys, K)
+        for w in range(1, K + 1):
+            check(sdet.weight_component(w).evaluate(phs) == eps[w],
+                  f"seed {seed}, K {K}: the roots disagree at weight {w}")
     return "formal superdeterminant equals the signature class, n <= 8, K <= 4"
 
 
 def _check_sdet_degree_parts() -> str:
-    sd = zs.sdet_formal(4, 2)
-    to_p = cs.powersums_to_pontryagin(2)
-    converted = to_p(sd)
+    converted = cs.powersums_to_pontryagin(zs.sdet_formal(4, 2))
     p1 = cs.GradedPolynomial.generator(1, 2, "p")
     p2 = cs.GradedPolynomial.generator(2, 2, "p")
     check(converted.weight_component(1) == Fraction(1, 3) * p1)
@@ -589,6 +608,16 @@ def _check_concrete_instance() -> str:
     formal = zs.substitute_ph(zs.sdet_formal(4, 2), phs)
     check((concrete - formal).is_zero())
     check(not (concrete - scalar(1)).is_zero(), "instance should be nontrivial")
+    # a 4-cycle of generator pairs: its odd powers are nonzero, Tr(R^2) = 0
+    # and Tr(R^4) = 8 psi0...psi7, so by hand sdet = 1 - 7/360 psi0...psi7 r^4
+    psi = [odd(f"psi{a}") for a in range(8)]
+    rows = [[scalar(0)] * 4 for _ in range(4)]
+    for i in range(4):
+        j = (i + 1) % 4
+        rows[i][j], rows[j][i] = psi[2 * i] * psi[2 * i + 1], -psi[2 * i] * psi[2 * i + 1]
+    top = math.prod(psi, start=scalar(1))
+    cycle = zs.sdet_concrete(zs.CurvatureMatrix(rows))
+    check(cycle == 1 - Fraction(7, 360) * top * even("r", 4), f"4-cycle sdet {cycle}")
     return "dimension-4 Grassmann instance: concrete pipeline equals formal substitution"
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence, Union
 
-from .gaussian import GaussianRational, I
+from .gaussian import GaussianRational
 from .grassmann import GrassmannElement, _mul_even, even, odd, scalar, sign
 from .series import (
     GradedPolynomial,
@@ -177,7 +177,7 @@ class CurvatureMatrix:
         scaled = self._scaled.get(k)
         if scaled is None:
             tr = self.matrix_power_trace(2 * k)
-            scaled = self._scaled[k] = (I ** (2 * k)) * even("r", 2 * k) * tr
+            scaled = self._scaled[k] = (-1) ** k * even("r", 2 * k) * tr
         return scaled
 
     def max_relevant_k(self) -> int:

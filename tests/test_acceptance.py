@@ -63,8 +63,8 @@ def test_criterion_1_superalgebra_suite():
         assert (ss.proj_R(ss.mu_R(p, R), R) - ss.proj_R(p, R)).is_zero()
 
         u, nu1, nu2 = even("u"), odd("nu1"), odd("nu2")
-        assert ss.descend_check((u, nu1, scalar(0)), R).descends
-        rejected = ss.descend_check((u, nu1, nu2), R)
+        assert ss.descend_check((u, nu1, scalar(0)), ss.TimeReversal(), R).descends
+        rejected = ss.descend_check((u, nu1, nu2), ss.TimeReversal(), R)
         assert not rejected.descends
         comps = [rejected.residual.even_part] + list(rejected.residual.odd_parts)
         for comp in comps:
@@ -164,7 +164,7 @@ def test_criterion_6_superdeterminant_core():
             for n in range(1, 9):
                 assert zs.sdet_formal(n, K) == target, (n, K)
             assert zs.sdet_formal(4, K, pp=True) == cs.GradedPolynomial.one(K, "ph")
-        converted = cs.powersums_to_pontryagin(2)(zs.sdet_formal(4, 2))
+        converted = cs.powersums_to_pontryagin(zs.sdet_formal(4, 2))
         p1 = cs.GradedPolynomial.generator(1, 2, "p")
         p2 = cs.GradedPolynomial.generator(2, 2, "p")
         assert converted.weight_component(1) == Fraction(1, 3) * p1

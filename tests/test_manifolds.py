@@ -1,5 +1,4 @@
 import json
-import warnings
 from fractions import Fraction
 from importlib import resources
 
@@ -158,13 +157,12 @@ def test_graded_commutativity_enforced():
     mf.load_manifold(document)  # still fine
 
 
-def test_missing_partition_warns_and_counts_zero():
-    data = mf.PontryaginData("stub", 8, {(2,): Fraction(45, 7)}, Fraction(1))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        genus = mf.l_genus(data)
-    assert any("missing Pontryagin number" in str(w.message) for w in caught)
-    assert genus == Fraction(45, 7) * Fraction(7, 45)
+def test_missing_partition_is_rejected():
+    # a missing number would otherwise enter l_genus as 0 and give a wrong genus
+    with pytest.raises(mf.ManifoldParseError, match="missing p1\\^2"):
+        mf.PontryaginData("stub", 8, {(2,): Fraction(45, 7)}, Fraction(1))
+    with pytest.raises(mf.ManifoldParseError, match="missing 1"):
+        mf.PontryaginData("point", 0, {}, Fraction(1))
 
 
 def test_shipped_numbers_must_match_ring():

@@ -24,6 +24,8 @@ from typing import FrozenSet, NamedTuple
 
 import pytest
 
+from supersdet.verify import SUITES
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -50,12 +52,13 @@ FAULTS = {
                    "superdeterminant equals the signature class"})),
     # exp is shared by sdet and the oracle, and Newton is a ring map, so an
     # exp with a wrong recurrence coefficient keeps sdet == L: only checks
-    # against a brute-force product see it
+    # against a brute-force product see it, among them sdet at random roots
     "exp-recurrence-scale": Fault(
         "series.py",
         "lambda j, w: j * math.perm(w - 1, j - 1)",
         "lambda j, w: math.perm(w - 1, j - 1)",
-        frozenset({"L-polynomials against brute force", "degree parts in Pontryagin classes"})),
+        frozenset({"L-polynomials against brute force", "degree parts in Pontryagin classes",
+                   "superdeterminant equals the signature class"})),
     "exp-piece-denominator": Fault(
         "series.py",
         "[math.factorial(w) * B ** w for w",
@@ -85,23 +88,48 @@ FAULTS = {
         "cosh_full = cs.series_cosh_half(8).rescale_root(Fraction(2))",
         "cosh_full = cs.series_cosh_half(8).rescale_root(Fraction(1))",
         frozenset({"exponential product identities"})),
-    # Known survivor, a gap in verify (a FOUND line of CHANGES.md): one sign
-    # per dx factor.  Verify builds forms with sections.monomial only to test
-    # closedness, the kernel of Q and Q^2, which are linear conditions, so a
-    # sign on a monomial changes nothing they can see.
+    # one sign per dx factor: closedness, the kernel of Q and Q^2 are linear
+    # in a monomial, so only its pin against explicit products sees it (with
+    # 1 and 3 factors; with 2 the signs cancel)
     "monomial-sign": Fault(
         "sections.py",
         "out = out * d_coordinate(i)",
         "out = -(out * d_coordinate(i))",
-        frozenset(), "test_sections::test_monomial_sign_and_coefficient"),
-    # Known survivor, a gap in verify (a FOUND line of CHANGES.md): an odd
-    # power mirrored without its sign.  Verify's only concrete curvature is
-    # the 4x4 demo, whose R^3 is zero, so no odd power it builds has an entry.
+        frozenset({"square of the supercharge"})),
+    # an odd power mirrored without its sign: the demo's R^3 is zero, and
+    # concrete and formal read the same traces, so only the 4-cycle's hand
+    # value sees it (the fault makes its Tr(R^4) zero and its sdet 1)
     "odd-power-mirror-sign": Fault(
         "zeta.py",
         "{key: (-re, -im) for key, (re, im) in entry.items()} if odd_power else entry",
         "entry",
-        frozenset(), "test_zeta::test_matrix_power_trace_matches_repeated_products"),
+        frozenset({"concrete curvature cross-check"})),
+    # a term of Tr(R^{2k}) holds 4k generators; with g // 8 the 4-cycle over
+    # 8 generators drops its Tr(R^4) term, the demo over 4 keeps k = 1
+    "trace-bound": Fault(
+        "zeta.py",
+        "self._generators // 4",
+        "self._generators // 8",
+        frozenset({"concrete curvature cross-check"})),
+    # the inverse of the source projection, o1 = theta + rho1 t / r
+    "base-map-sign": Fault(
+        "superspace.py",
+        "o1_sub = theta + rho1 * even(_FRESH[0]) * r_inv",
+        "o1_sub = theta - rho1 * even(_FRESH[0]) * r_inv",
+        frozenset({"induced map on the odd line", "action on field data"})),
+    "odd-mode-sum-sign": Fault(
+        "series.py",
+        "(Fraction(2) ** two_k - 1) * zeta_over_2pii(two_k)",
+        "(Fraction(2) ** two_k + 1) * zeta_over_2pii(two_k)",
+        frozenset({"Bernoulli and even zeta values", "exponential product identities",
+                   "log of the characteristic series", "inverse-power mode traces",
+                   "superdeterminant equals the signature class"})),
+    "newton-power-sum-scale": Fault(
+        "series.py",
+        "math.factorial(2 * i)",
+        "math.factorial(2 * i - 1)",
+        frozenset({"Newton conversions invertible",
+                   "superdeterminant equals the signature class"})),
     # the demo has ph_2 = 0, so a skip that drops every monomial once any
     # value is zero loses the whole formal substitution
     "zero-skip-everything": Fault(
@@ -110,6 +138,35 @@ FAULTS = {
         "if zeros:",
         frozenset({"concrete curvature cross-check"})),
 }
+
+
+# the verify checks that no entry's killed_by names: coverage can only grow,
+# and a check that a new entry kills leaves this set
+UNCOVERED = frozenset({
+    "super translation group law",
+    "time reversal acts by automorphisms (t -> -t pinned)",
+    "time reversal group relations",
+    "odd derivations square to -i d/dt",
+    "left-invariant sign flip",
+    "projection invariance under the lattice",
+    "1|1 inclusion homomorphism (i-convention pinned)",
+    "descent of translations",
+    "descent of time reversals",
+    "kernel of the supercharge (randomized)",
+    "line bundle weights",
+    "cocycle map",
+    "regularized free products",
+    "periodic-periodic sector",
+    "trace termination and antisymmetry",
+    "radius cancellation",
+})
+
+
+def test_uncovered_checks_only_shrink():
+    checks = {name for suite in SUITES.values() for name, _func in suite}
+    covered = set().union(*(fault.killed_by for fault in FAULTS.values()))
+    assert covered <= checks, sorted(covered - checks)
+    assert checks - covered == UNCOVERED, sorted(checks - covered)
 
 
 def _copy_src(tmp_path: Path) -> Path:

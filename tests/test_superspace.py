@@ -56,8 +56,8 @@ def test_time_reversal_normal_form():
     e = ss.TimeReversal()
     assert (ss.RP * ss.RP * ss.RP * ss.RP) == e
     assert (ss.RM * ss.RM) == ss.RP * ss.RP
-    assert ss.RP.inverse() * ss.RP == e
-    assert ss.RM.inverse() * ss.RM == e
+    assert ss.TimeReversal.word(-1) * ss.RP == e
+    assert ss.TimeReversal.word(0, -1) * ss.RM == e
     elements = {ss.TimeReversal.word(a, b) for a in range(8) for b in range(4)}
     assert len(elements) == 8
 
@@ -90,10 +90,10 @@ def test_mu_and_proj_examples():
 def test_descend_check_translation():
     r, rho1 = even("r"), odd("rho1")
     u, nu1, nu2 = even("u"), odd("nu1"), odd("nu2")
-    res = ss.descend_check((u, nu1, scalar(0)), (r, rho1))
+    res = ss.descend_check((u, nu1, scalar(0)), ss.TimeReversal(), (r, rho1))
     assert res.descends
     assert (res.generator[0] - (r + 2 * I * nu1 * rho1)).is_zero()
-    bad = ss.descend_check((scalar(0), scalar(0), nu2), (r, scalar(0)))
+    bad = ss.descend_check((scalar(0), scalar(0), nu2), ss.TimeReversal(), (r, scalar(0)))
     assert not bad.descends
     comps = [bad.residual.even_part] + list(bad.residual.odd_parts)
     assert any(not c.is_zero() for c in comps)
@@ -103,23 +103,24 @@ def test_descend_check_translation():
 
 def test_descend_check_time_reversal():
     r, rho1 = even("r"), odd("rho1")
-    res_p = ss.descend_check(ss.RP, (r, rho1))
+    res_p = ss.descend_check(None, ss.RP, (r, rho1))
     assert res_p.descends and res_p.orientation == -1
     assert (res_p.generator[1] + I * rho1).is_zero()
-    res_m = ss.descend_check(ss.RM, (r, rho1))
+    res_m = ss.descend_check(None, ss.RM, (r, rho1))
     assert (res_m.generator[1] - I * rho1).is_zero()
 
 
 def test_induced_base_map_translation_and_twist():
     r, rho1, u, nu1 = even("r"), odd("rho1"), even("u"), odd("nu1")
-    m = ss.induced_base_map((u, nu1), (r, rho1))
+    m, generator = ss.induced_base_map((u, nu1), ss.TimeReversal(), (r, rho1))
     r_inv = r.invert_unit()
     assert (m.alpha - (nu1 - rho1 * u * r_inv)).is_zero()
     assert (m.beta - (scalar(1) - I * rho1 * nu1 * r_inv)).is_zero()
-    ident = ss.induced_base_map((scalar(0), scalar(0)), (r, rho1))
+    assert (generator[0] - (r + 2 * I * nu1 * rho1)).is_zero() and generator[1] == rho1
+    ident, _ = ss.induced_base_map((scalar(0), scalar(0)), ss.TimeReversal(), (r, rho1))
     theta = odd("th")
     assert (ident(theta) - theta).is_zero()
-    tw = ss.induced_base_map(((scalar(0), scalar(0)), ss.RP), (r, scalar(0)))
+    tw, _ = ss.induced_base_map((scalar(0), scalar(0)), ss.RP, (r, scalar(0)))
     assert (tw(theta) - I * theta).is_zero()
     inv = m.inverse()
     assert (m(inv(theta)) - theta).is_zero()
@@ -171,13 +172,13 @@ def test_r11_inclusion_needs_the_i():
 def test_mixed_translation_and_twist_descend():
     r, rho1, u, nu1 = even("r"), odd("rho1"), even("u"), odd("nu1")
     for twist in (ss.RP, ss.RM, ss.PA_HOLONOMY):
-        res = ss.descend_check(((u, nu1, scalar(0)), twist), (r, rho1))
+        res = ss.descend_check((u, nu1, scalar(0)), twist, (r, rho1))
         assert res.descends, str(twist)
         # the induced map exists and closes the square (verified internally)
-        m = ss.induced_base_map(((u, nu1), twist), (r, rho1))
+        m, _ = ss.induced_base_map((u, nu1), twist, (r, rho1))
         assert m.beta.parity() == 0 and (m.alpha.is_zero() or m.alpha.parity() == 1)
     # a second-odd translation component blocks descent even with a twist
-    res = ss.descend_check(((u, nu1, odd("nu2")), ss.RP), (r, rho1))
+    res = ss.descend_check((u, nu1, odd("nu2")), ss.RP, (r, rho1))
     assert not res.descends
     for comp in [res.residual.even_part] + list(res.residual.odd_parts):
         assert comp.substitute_odd("nu2", scalar(0)).is_zero()

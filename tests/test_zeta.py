@@ -142,7 +142,7 @@ def test_sdet_equals_signature_class(n, K):
 
 
 def test_sdet_degree_parts_in_p():
-    converted = cs.powersums_to_pontryagin(2)(zs.sdet_formal(4, 2))
+    converted = cs.powersums_to_pontryagin(zs.sdet_formal(4, 2))
     p1 = cs.GradedPolynomial.generator(1, 2, "p")
     p2 = cs.GradedPolynomial.generator(2, 2, "p")
     assert converted.weight_component(1) == Fraction(1, 3) * p1
