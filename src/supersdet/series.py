@@ -459,14 +459,19 @@ def pontryagin_to_powersums(poly: GradedPolynomial) -> GradedPolynomial:
     return poly.substitute([elementary_in_ph(i, K) for i in range(1, K + 1)])
 
 
+@lru_cache(maxsize=None)
+def _ph_in_elementary(K: int) -> Tuple[GradedPolynomial, ...]:
+    """ph_1..ph_K in the elementary symmetric generators: s_k/(2k)!."""
+    return tuple(Fraction(1, math.factorial(2 * k)) * power_sum_in_elementary(k, K)
+                 for k in range(1, K + 1))
+
+
 def powersums_to_pontryagin(poly: GradedPolynomial) -> GradedPolynomial:
     """Map a ph-basis polynomial to the p-basis via ph_k = s_k/(2k)! and the
     Newton expression of s_k in elementary symmetric functions."""
     if poly.basis != "ph":
         raise ValueError("expected a ph-basis polynomial")
-    K = poly.nvars
-    return poly.substitute([Fraction(1, math.factorial(2 * k)) * power_sum_in_elementary(k, K)
-                            for k in range(1, K + 1)])
+    return poly.substitute(_ph_in_elementary(poly.nvars))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import GaussianRational, I
 from .grassmann import GrassmannElement, even, odd, scalar
@@ -452,39 +452,36 @@ def _check_log_l_series() -> str:
     return "log of the characteristic series equals the zeta-lambda combination, k <= 4"
 
 
-def _elementary(values: List[Fraction], K: int) -> List[Fraction]:
-    """e_0..e_K of the given values."""
-    es = [Fraction(1)] + [Fraction(0)] * K
-    for y in values:
-        new = list(es)
-        for i in range(K, 0, -1):
-            new[i] = es[i] + y * es[i - 1]
-        es = new
-    return es
-
-
-def _product_at_roots(series: cs.TruncatedSeries, ys: List[Fraction], K: int) -> List[Fraction]:
-    """The weight-0..K parts of prod_j Q(x_j) at the squared roots x_j^2 =
-    ys[j], Q the even series given, through a graded epsilon parameter: no
-    exp, no Newton."""
+def _product_at_roots(coefficients: Sequence[Fraction], ys: List[Fraction],
+                      K: int) -> List[Fraction]:
+    """The weight-0..K parts of prod_j f(y_j), f(y) = sum_k coefficients[k] y^k
+    with y^k of weight k, through a graded epsilon parameter: no exp, no
+    Newton.  f = 1 + y gives the elementary symmetric values e_0..e_K of the
+    ys; the coefficients of _l_at_y(K) give prod_j x_j/tanh x_j at the
+    squared roots x_j^2 = y_j."""
     eps = [Fraction(1)] + [Fraction(0)] * K
     for y in ys:
-        factor = [series.coefficient(2 * k) * y ** k for k in range(K + 1)]
-        eps = [sum(eps[i] * factor[j - i] for i in range(j + 1)) for j in range(K + 1)]
+        factor = [c * y ** k for k, c in enumerate(coefficients)]
+        eps = [sum(e * f for e, f in zip(eps[j::-1], factor)) for j in range(K + 1)]
     return eps
+
+
+def _l_at_y(K: int) -> List[Fraction]:
+    """The coefficients of y^0..y^K in x/tanh x, y = x^2."""
+    series = cs.l_series_doubled_root(2 * K)
+    return [series.coefficient(2 * k) for k in range(K + 1)]
 
 
 def _check_l_polynomials_oracle() -> str:
     rng = random.Random(11)
     K = 4
     polys = cs.l_polynomials(K)
-    series = cs.l_series_doubled_root(2 * K)
+    ell = _l_at_y(K)
     for trial in range(6):
         m = 2 * K
         ys = [Fraction(rng.randrange(1, 7), rng.randrange(1, 5)) for _ in range(m)]
-        # elementary symmetric values of the squared roots
-        es = _elementary(ys, K)
-        eps = _product_at_roots(series, ys, K)
+        es = _product_at_roots((1, 1), ys, K)
+        eps = _product_at_roots(ell, ys, K)
         for k in range(1, K + 1):
             value = polys[k - 1].evaluate(es[1:])
             check(value == eps[k], (trial, k))
@@ -523,9 +520,9 @@ def _check_whitney() -> str:
     for _ in range(4):
         ys = [Fraction(rng.randrange(1, 5), rng.randrange(1, 4)) for _ in range(3)]
         zs_ = [Fraction(rng.randrange(1, 5), rng.randrange(1, 4)) for _ in range(3)]
-        e_total = _elementary(ys + zs_, K)[1:]
-        e_left = _elementary(ys, K)[1:]
-        e_right = _elementary(zs_, K)[1:]
+        e_total = _product_at_roots((1, 1), ys + zs_, K)[1:]
+        e_left = _product_at_roots((1, 1), ys, K)[1:]
+        e_right = _product_at_roots((1, 1), zs_, K)[1:]
         for k in range(1, K + 1):
             lhs = polys[k - 1].evaluate(e_total)
             rhs = Fraction(0)
@@ -577,7 +574,7 @@ def _check_sdet_identity() -> str:
         # the product of x/tanh x over the roots x_j^2 = y_j
         ys = [Fraction(rng.randrange(1, 7), rng.randrange(1, 5)) for _ in range(2 * K)]
         phs = [sum(y ** k for y in ys) / math.factorial(2 * k) for k in range(1, K + 1)]
-        eps = _product_at_roots(cs.l_series_doubled_root(2 * K), ys, K)
+        eps = _product_at_roots(_l_at_y(K), ys, K)
         for w in range(1, K + 1):
             check(sdet.weight_component(w).evaluate(phs) == eps[w],
                   f"seed {seed}, K {K}: the roots disagree at weight {w}")

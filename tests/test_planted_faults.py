@@ -4,8 +4,9 @@ by accident.
 Each entry names a library file, an exact source snippet, its replacement,
 and the verify checks that must then read FAIL.  The mutant is a temporary
 copy of src/ with that one replacement, and `python -O -m supersdet.cli
-verify --format json` runs on it in a subprocess.  A snippet must occur
-exactly once, so the catalogue breaks loudly when the code moves.
+verify --format json` runs on it in a subprocess; the mutants run together,
+at most one per CPU.  A snippet must occur exactly once, so the catalogue
+breaks loudly when the code moves.
 
 A mutant that no verify check kills is a known survivor: its entry names no
 check, says in a comment why verify cannot see it, and names the unit test
@@ -19,8 +20,9 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import FrozenSet, NamedTuple
+from typing import FrozenSet, NamedTuple, Optional, Tuple
 
 import pytest
 
@@ -137,29 +139,142 @@ FAULTS = {
         "if any(exps[i] for i in zeros):",
         "if zeros:",
         frozenset({"concrete curvature cross-check"})),
+    # the boundary table the superdeterminant and the linearization read
+    "pa-boundary-eta2": Fault(
+        "zeta.py",
+        '"eta2": BoundaryCondition.ANTIPERIODIC,',
+        '"eta2": BoundaryCondition.PERIODIC,',
+        frozenset({"linearized action expansion", "superdeterminant equals the signature class",
+                   "degree parts in Pontryagin classes", "concrete curvature cross-check"})),
+    "ph-scale-power": Fault(
+        "zeta.py",
+        "* 4 ** k",
+        "* 2 ** k",
+        frozenset({"superdeterminant equals the signature class",
+                   "degree parts in Pontryagin classes"})),
+    "free-r-exponent-order": Fault(
+        "zeta.py",
+        "det = n * regularized_product_power(4).r_exponent",
+        "det = n * regularized_product_power(2).r_exponent",
+        frozenset({"radius cancellation"})),
+    "zeta-at-zero": Fault(
+        "zeta.py",
+        "zeta_at_0 = Fraction(-1, 2)",
+        "zeta_at_0 = Fraction(-1, 3)",
+        frozenset({"regularized free products"})),
+    "pp-eta2": Fault(
+        "zeta.py",
+        "eta2 = BoundaryCondition.PERIODIC if pp",
+        "eta2 = BoundaryCondition.ANTIPERIODIC if pp",
+        frozenset({"periodic-periodic sector"})),
+    "supercharge-d-sign": Fault(
+        "sections.py",
+        "return GrassmannElement._of(out) - d(s)",
+        "return GrassmannElement._of(out) + d(s)",
+        frozenset({"square of the supercharge"})),
+    # i * weight * c read as -i * weight * c
+    "supercharge-i-sign": Fault(
+        "sections.py",
+        "_of(-c.im * weight, c.re * weight)",
+        "_of(c.im * weight, -c.re * weight)",
+        frozenset({"square of the supercharge"})),
+    "supercharge-weight-q": Fault(
+        "sections.py",
+        "weight = (mask.bit_count() - 2 * q)",
+        "weight = (mask.bit_count() - q)",
+        frozenset({"kernel of the supercharge (randomized)", "cocycle map"})),
+    "grade-mod-2": Fault(
+        "sections.py",
+        "{mask.bit_count() % 4 for",
+        "{mask.bit_count() % 2 for",
+        frozenset({"line bundle weights"})),
+    "cocycle-two-pi-sign": Fault(
+        "sections.py",
+        "TwoPiPower(Fraction(1), -Fraction(k, 2))",
+        "TwoPiPower(Fraction(1), Fraction(k, 2))",
+        frozenset({"cocycle map"})),
+    # the law with -i o2 o2' is still a group on which T acts by
+    # automorphisms, and nu2 still blocks descent; what it breaks is the
+    # right invariance of D_2 = d/dtheta2 - i theta2 d/dt, which verify does
+    # not check: a gap, recorded as a FOUND in CHANGES.md
+    "group-law-sign": Fault(
+        "superspace.py",
+        "+ I * o2 * u2",
+        "- I * o2 * u2",
+        frozenset(),
+        survivor_test="test_superspace::test_identity_and_group_product"),
+    "inverse-keeps-t": Fault(
+        "superspace.py",
+        "return point_r12(-p.even_part, -p.odd_parts[0], -p.odd_parts[1])",
+        "return point_r12(p.even_part, -p.odd_parts[0], -p.odd_parts[1])",
+        frozenset({"super translation group law", "descent of translations",
+                   "induced map on the odd line", "action on field data"})),
+    "r11-without-i": Fault(
+        "superspace.py",
+        "return (u + up + I * v * vp, v + vp)",
+        "return (u + up + v * vp, v + vp)",
+        frozenset({"1|1 inclusion homomorphism (i-convention pinned)", "action on field data"})),
+    "rp-keeps-t": Fault(
+        "superspace.py",
+        "return point_r12(-p.even_part, I * p.odd_parts[0], I * p.odd_parts[1])",
+        "return point_r12(p.even_part, I * p.odd_parts[0], I * p.odd_parts[1])",
+        frozenset({"time reversal acts by automorphisms (t -> -t pinned)",
+                   "time reversal group relations", "projection invariance under the lattice",
+                   "1|1 inclusion homomorphism (i-convention pinned)", "descent of translations",
+                   "descent of time reversals", "induced map on the odd line",
+                   "action on field data"})),
+    "rp-second-odd-sign": Fault(
+        "superspace.py",
+        "return point_r12(-p.even_part, I * p.odd_parts[0], I * p.odd_parts[1])",
+        "return point_r12(-p.even_part, I * p.odd_parts[0], -I * p.odd_parts[1])",
+        frozenset({"time reversal group relations", "descent of translations"})),
+    "right-d-sign": Fault(
+        "superspace.py",
+        "return f.derivative_odd(name) - I * odd(name) * d_t(f)",
+        "return f.derivative_odd(name) + I * odd(name) * d_t(f)",
+        frozenset({"odd derivations square to -i d/dt"})),
+    "left-d-sign": Fault(
+        "superspace.py",
+        "return f.derivative_odd(name) + I * odd(name) * d_t(f)",
+        "return f.derivative_odd(name) - I * odd(name) * d_t(f)",
+        frozenset({"left-invariant sign flip"})),
+    "projection-sign": Fault(
+        "superspace.py",
+        "return p.odd_parts[0] - rho1 * p.even_part * r.invert_unit()",
+        "return p.odd_parts[0] + rho1 * p.even_part * r.invert_unit()",
+        frozenset({"projection invariance under the lattice", "induced map on the odd line",
+                   "action on field data"})),
+    # each step of the descent generator: the image is iso(L) with the
+    # base-point-preserving iso, the equation is tested with iso(L) itself,
+    # and the reported generator is iso(L) times the sign of its r-coefficient
+    "descent-image-not-conjugated": Fault(
+        "superspace.py",
+        "point_r12(r, rho1, 0), True)",
+        "point_r12(r, rho1, 0), False)",
+        frozenset({"descent of translations", "induced map on the odd line",
+                   "action on field data"})),
+    "descent-generator-unoriented": Fault(
+        "superspace.py",
+        "(orientation * t, orientation * o1)",
+        "(t, o1)",
+        frozenset({"descent of time reversals"})),
+    "descent-equation-oriented": Fault(
+        "superspace.py",
+        "twist, p, True), (t, o1))",
+        "twist, p, True), (orientation * t, orientation * o1))",
+        frozenset({"descent of time reversals", "induced map on the odd line"})),
+    "orientation-sign": Fault(
+        "superspace.py",
+        "return 1 if coeff.re > 0 else -1",
+        "return -1 if coeff.re > 0 else 1",
+        frozenset({"descent of translations", "descent of time reversals",
+                   "action on field data"})),
 }
 
 
 # the verify checks that no entry's killed_by names: coverage can only grow,
 # and a check that a new entry kills leaves this set
-UNCOVERED = frozenset({
-    "super translation group law",
-    "time reversal acts by automorphisms (t -> -t pinned)",
-    "time reversal group relations",
-    "odd derivations square to -i d/dt",
-    "left-invariant sign flip",
-    "projection invariance under the lattice",
-    "1|1 inclusion homomorphism (i-convention pinned)",
-    "descent of translations",
-    "descent of time reversals",
-    "kernel of the supercharge (randomized)",
-    "line bundle weights",
-    "cocycle map",
-    "regularized free products",
-    "periodic-periodic sector",
-    "trace termination and antisymmetry",
-    "radius cancellation",
-})
+UNCOVERED = frozenset({"trace termination and antisymmetry"})
 
 
 def test_uncovered_checks_only_shrink():
@@ -193,9 +308,9 @@ def test_unmutated_copy_passes(tmp_path):
     assert _failed_checks(_copy_src(tmp_path)) == set()
 
 
-@pytest.mark.parametrize("name", sorted(FAULTS))
-def test_planted_fault(tmp_path, name):
-    fault = FAULTS[name]
+def _run_mutant(tmp_path: Path, fault: Fault) -> Tuple[set, Optional[subprocess.CompletedProcess]]:
+    """Plant the fault in a copy of src/ and run verify on it; for a survivor
+    that verify passes, run its unit test there too."""
     src = _copy_src(tmp_path)
     target = src / "supersdet" / fault.file
     text = target.read_text(encoding="utf-8")
@@ -203,11 +318,34 @@ def test_planted_fault(tmp_path, name):
     target.write_text(text.replace(fault.snippet, fault.replacement), encoding="utf-8")
 
     failed = _failed_checks(src)
+    if not fault.survivor_test or failed:
+        return failed, None
+    module, function = fault.survivor_test.split("::")
+    probe = _python(src, "-c", f"import sys; sys.path.insert(0, {str(ROOT / 'tests')!r}); "
+                               f"import {module}; {module}.{function}()")
+    return failed, probe
+
+
+@pytest.fixture(scope="module")
+def mutant_runs(request, tmp_path_factory):
+    """The runs of every selected entry, started together on a pool of at
+    most cpu_count workers; each test waits for its own."""
+    names = [item.callspec.params["name"] for item in request.session.items
+             if getattr(item, "originalname", None) == "test_planted_fault"]
+    pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+    try:
+        yield {name: pool.submit(_run_mutant, tmp_path_factory.mktemp(name), FAULTS[name])
+               for name in names}
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_planted_fault(mutant_runs, name):
+    fault = FAULTS[name]
+    failed, probe = mutant_runs[name].result()
     if not fault.survivor_test:
         assert fault.killed_by and fault.killed_by <= failed, sorted(failed)
         return
     assert not failed, f"verify kills this survivor now, by {sorted(failed)}"
-    module, function = fault.survivor_test.split("::")
-    probe = _python(src, "-c", f"import sys; sys.path.insert(0, {str(ROOT / 'tests')!r}); "
-                               f"import {module}; {module}.{function}()")
     assert probe.returncode != 0 and "AssertionError" in probe.stderr, probe.stderr

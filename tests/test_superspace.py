@@ -1,3 +1,5 @@
+import pytest
+
 from supersdet.gaussian import I
 from supersdet.grassmann import even, odd, scalar
 from supersdet import superspace as ss
@@ -84,7 +86,6 @@ def test_mu_and_proj_examples():
     proj = ss.proj_R(p, (r, rho1))
     assert (proj - (p.odd_parts[0] - rho1 * p.even_part * r.invert_unit())).is_zero()
     assert (ss.proj_R(moved, (r, rho1)) - proj).is_zero()
-    assert (ss.mu_R_inverse(moved, (r, rho1)) - p).is_zero()
 
 
 def test_descend_check_translation():
@@ -108,6 +109,27 @@ def test_descend_check_time_reversal():
     assert (res_p.generator[1] + I * rho1).is_zero()
     res_m = ss.descend_check(None, ss.RM, (r, rho1))
     assert (res_m.generator[1] - I * rho1).is_zero()
+
+
+@pytest.mark.parametrize("plus, minus", [(a, b) for a in range(4) for b in range(2)])
+def test_descent_over_all_of_t(plus, minus):
+    # rp^a rm^b sends L = (r, rho1, 0) to (x, xi, 0) = ((-1)^(a+b) r, i^a (-i)^b rho1, 0)
+    r, rho1 = even("r"), odd("rho1")
+    u, nu1, nu2 = even("u"), odd("nu1"), odd("nu2")
+    twist = ss.TimeReversal.word(plus, minus)
+    s = (-1) ** (plus + minus)
+    xi = (1, I, -1, -I)[(plus - minus) % 4] * rho1
+    for translation, nu in ((None, scalar(0)), ((u, nu1, scalar(0)), nu1)):
+        res = ss.descend_check(translation, twist, (r, rho1))
+        assert res.descends and res.orientation == s and res.residual is None
+        assert (res.generator[0] - s * (s * r + 2 * I * nu * xi)).is_zero()
+        assert (res.generator[1] - s * xi).is_zero()
+    res = ss.descend_check((u, nu1, nu2), twist, (r, rho1))
+    assert not res.descends and res.generator is None
+    comps = [res.residual.even_part] + list(res.residual.odd_parts)
+    assert any(not c.is_zero() for c in comps)
+    for comp in comps:
+        assert comp.substitute_odd("nu2", scalar(0)).is_zero()
 
 
 def test_induced_base_map_translation_and_twist():
