@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussian import I
 from .grassmann import GrassmannElement, bit, even, names, odd, scalar, sign
-from .terms import Record
 from .zeta import BoundaryCondition
 
 G = GrassmannElement
@@ -209,16 +208,6 @@ def derive_boundary_conditions() -> Dict[str, BoundaryCondition]:
 # the expansion
 # ---------------------------------------------------------------------------
 
-class LinearizedAction(Record):
-    __slots__ = ("dim", "lagrangian", "boundary_conditions")
-
-    def __init__(self, dim: int, lagrangian: G,
-                 boundary_conditions: Dict[str, BoundaryCondition]):
-        self.dim = dim
-        self.lagrangian = lagrangian  # normal form modulo total dt
-        self.boundary_conditions = boundary_conditions
-
-
 def quadratic_form(n: int) -> G:
     """- <a, D_a a> - i <eta1, D_eta1 eta1> - i <eta2, D_eta2 eta2> + <G, G>
     with D_a = d^2/dt^2 - i R d/dt, D_eta1 = d/dt and D_eta2 = d/dt - i R.
@@ -236,16 +225,13 @@ def quadratic_form(n: int) -> G:
             + pairing(g0, g0))
 
 
-def expand_linearized_action(n: int) -> LinearizedAction:
-    """Expand the linearized action in components and read off the boundary
-    conditions.
-
-    The Berezin integral of < Dc_1 dnu, Dc_2 dnu > is reduced to its total-
-    derivative normal form, whose kinetic blocks are those of
-    `quadratic_form`; the boundary conditions come from the holonomy
-    (`derive_boundary_conditions`).  That the Lagrangian equals both the
-    displayed shape and that quadratic form, and that the conditions agree
-    with the table zeta.PA_BOUNDARY the superdeterminant reads, is the
+def expand_linearized_action(n: int) -> G:
+    """The component Lagrangian of the linearized action: the Berezin
+    integral of < Dc_1 dnu, Dc_2 dnu >, reduced to its total-derivative
+    normal form, whose kinetic blocks are those of `quadratic_form`.  That it
+    equals both the displayed shape and that quadratic form, and that the
+    boundary conditions read off the holonomy (`derive_boundary_conditions`)
+    agree with the table zeta.PA_BOUNDARY the superdeterminant reads, is the
     verify suite's "linearized action expansion" check.
     """
     if n < 1:
@@ -254,8 +240,7 @@ def expand_linearized_action(n: int) -> LinearizedAction:
     integrand = pairing(covariant_D1(dnu), covariant_D2(dnu))
     # fiber orientation of the odd integral: the sign making the bosonic
     # kinetic term positive (the theta-measure is ordered accordingly)
-    lagrangian = normal_form_dt(-berezin_integrate(integrand))
-    return LinearizedAction(n, lagrangian, derive_boundary_conditions())
+    return normal_form_dt(-berezin_integrate(integrand))
 
 
 def displayed_lagrangian(n: int) -> G:

@@ -204,14 +204,13 @@ Translation = Tuple[G, G, G]  # (u, nu1, nu2)
 
 
 class DescentResult(Record):
-    __slots__ = ("descends", "generator", "orientation", "residual")
+    __slots__ = ("descends", "generator", "residual")
 
-    def __init__(self, descends: bool, generator: Optional[Radius], orientation: int,
+    def __init__(self, descends: bool, generator: Optional[Radius],
                  residual: Optional[SuperPoint]):
         self.descends = descends
-        self.generator = generator      # positive generator of the image lattice
-        self.orientation = orientation  # +1, or -1 when the lattice was regenerated backwards
-        self.residual = residual        # difference of the two sides when not descending
+        self.generator = generator  # positive generator of the image lattice
+        self.residual = residual    # difference of the two sides when not descending
 
 
 _FRESH = ("_pt_t", "_pt_th1", "_pt_th2")
@@ -263,8 +262,7 @@ def descend_check(translation: Optional[Translation], twist: TimeReversal,
     conjugation by g adds nu2 + 0 - nu2.  So the holonomy fixes both sides,
     L' = iso(L) is the only candidate, and the verdict is the equation itself
     on a generic point.  mu_{-L'} inverts mu_{L'}, so when the r-coefficient
-    of iso(L) is negative the reported positive generator is -iso(L), with
-    orientation -1.
+    of iso(L) is negative the reported positive generator is -iso(L).
     """
     if translation is not None:
         translation = tuple(G.coerce(c) for c in translation)  # type: ignore[assignment]
@@ -278,8 +276,8 @@ def descend_check(translation: Optional[Translation], twist: TimeReversal,
     residual = (_apply_isometry(translation, twist, mu_R(p, R), True)
                 - mu_R(_apply_isometry(translation, twist, p, True), (t, o1)))
     if residual.is_zero():
-        return DescentResult(True, (orientation * t, orientation * o1), orientation, None)
-    return DescentResult(False, None, orientation, residual)
+        return DescentResult(True, (orientation * t, orientation * o1), None)
+    return DescentResult(False, None, residual)
 
 
 # ---------------------------------------------------------------------------

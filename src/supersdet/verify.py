@@ -61,6 +61,16 @@ def _check_group_law() -> str:
     lhs = ss.multiply_r12(ss.multiply_r12(p, q), w)
     rhs = ss.multiply_r12(p, ss.multiply_r12(q, w))
     check((lhs - rhs).is_zero())
+    # D_1 and D_2 commute with left translation: on the coordinates of
+    # q = g p they act as on those of p, D_i t = -i theta_i, D_i theta_j = delta_ij
+    g = ss.point_r12(even("s"), odd("nu1"), odd("nu2"))
+    q = ss.multiply_r12(g, ss.point_r12(even("t"), odd("theta1"), odd("theta2")))
+    for i in (1, 2):
+        check((ss.apply_D(i, q.even_part) + I * q.odd_parts[i - 1]).is_zero(),
+              f"D_{i} is not invariant under left translation")
+        for j in (1, 2):
+            check((ss.apply_D(i, q.odd_parts[j - 1]) - scalar(int(i == j))).is_zero(),
+                  f"D_{i} is not invariant under left translation")
     return "identity, two-sided inverses, associativity on generic points"
 
 
@@ -240,13 +250,13 @@ def _check_berezin() -> str:
 
 def _check_linearized_action() -> str:
     for n in (1, 2):
-        action = lin.expand_linearized_action(n)
+        lagrangian = lin.expand_linearized_action(n)
         display = lin.normal_form_dt(lin.displayed_lagrangian(n))
-        check((action.lagrangian - display).is_zero())
-        check((action.lagrangian - lin.normal_form_dt(lin.quadratic_form(n))).is_zero())
-        bcs = action.boundary_conditions
-        check(all(bcs[block] == bc for block, bc in zs.PA_BOUNDARY.items()), bcs)
-        check(bcs["G"] == zs.BoundaryCondition.ANTIPERIODIC)
+        check((lagrangian - display).is_zero())
+        check((lagrangian - lin.normal_form_dt(lin.quadratic_form(n))).is_zero())
+    bcs = lin.derive_boundary_conditions()
+    check(all(bcs[block] == bc for block, bc in zs.PA_BOUNDARY.items()), bcs)
+    check(bcs["G"] == zs.BoundaryCondition.ANTIPERIODIC)
     return "component Lagrangian, operator blocks and boundary conditions extracted"
 
 
@@ -615,6 +625,19 @@ def _check_concrete_instance() -> str:
     top = math.prod(psi, start=scalar(1))
     cycle = zs.sdet_concrete(zs.CurvatureMatrix(rows))
     check(cycle == 1 - Fraction(7, 360) * top * even("r", 4), f"4-cycle sdet {cycle}")
+    # the same cycle with sums of two generator pairs, the two edges at each
+    # vertex disjoint: the diagonal of R^2 has a nonzero square, which
+    # Tr(R^4) reads against explicit products
+    pairs = [psi[2 * a] * psi[2 * a + 1] for a in range(4)]
+    for i in range(4):
+        j = (i + 1) % 4
+        w = pairs[2 * (i % 2)] + pairs[2 * (i % 2) + 1]
+        rows[i][j], rows[j][i] = w, -w
+    square = [[sum((rows[i][k] * rows[k][j] for k in range(4)), scalar(0))
+               for j in range(4)] for i in range(4)]
+    explicit = sum((square[i][j] * square[j][i] for i in range(4) for j in range(4)), scalar(0))
+    trace = zs.CurvatureMatrix(rows).matrix_power_trace(4)
+    check(trace == explicit, f"Tr(R^4) {trace}, explicit products {explicit}")
     return "dimension-4 Grassmann instance: concrete pipeline equals formal substitution"
 
 

@@ -14,11 +14,13 @@ exponential of a terminating series.  Free parts are assigned by the
 zeta-function of the integer mode sequence {(2 pi k / r)^n} (exponent n/2 in
 r, the 2 pi contribution cancelling identically); mode sums of inverse powers
 collapse to Bernoulli rationals.  The curvature parts are Fredholm
-determinants, which `sdet` combines in one formula.  Two curvature backends
-share it: a formal one whose scaled traces are tied to Pontryagin-character
-generators, and a concrete Grassmann-matrix one.  Trace normalization is
-calibrated so that the formal variables pair with classical Pontryagin
-classes under the Newton conversion (see curvature_to_ph).
+determinants, which `sdet` combines in one formula.  They depend on the
+curvature only through its scaled traces (i r)^{2k} Tr(R^{2k}), so `sdet`
+reads the list of those.  The formal ones are _ph_scale(k) ph_k, in
+Pontryagin-character generators; a concrete Grassmann matrix computes its
+own.  Trace normalization is calibrated so that the formal variables pair
+with classical Pontryagin classes under the Newton conversion (see
+curvature_to_ph).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence, Union
+from typing import Sequence
 
 from .gaussian import GaussianRational
 from .grassmann import GrassmannElement, _mul_even, even, odd, scalar, sign
@@ -103,7 +105,7 @@ def trace_inv_power(bc: BoundaryCondition, two_k: int) -> RPower:
 
 
 # ---------------------------------------------------------------------------
-# curvature backends
+# curvature traces
 # ---------------------------------------------------------------------------
 
 class CurvatureMatrix:
@@ -233,26 +235,6 @@ def _ph_scale(k: int) -> int:
     return 2 * math.factorial(2 * k) * 4 ** k
 
 
-class FormalCurvature:
-    """Formal backend: the scaled trace (i r)^{2k} Tr(R^{2k}) is declared to be
-    _ph_scale(k) * ph_k, tying the trace generators to Pontryagin-character
-    variables normalized against classical Pontryagin classes."""
-
-    def __init__(self, K: int):
-        if K < 1:
-            raise ValueError(f"K must be >= 1, got {K}")
-        self.K = K
-
-    def scaled_trace(self, k: int) -> GradedPolynomial:
-        return _ph_scale(k) * GradedPolynomial.generator(k, self.K, "ph")
-
-    def max_relevant_k(self) -> int:
-        return self.K
-
-
-CurvatureLike = Union[CurvatureMatrix, FormalCurvature]
-
-
 def curvature_to_ph(matrix: CurvatureMatrix, k: int) -> GrassmannElement:
     """The Pontryagin-character value of a concrete curvature matrix: its
     scaled trace read through the formal dictionary, (i r / 2)^{2k} (1/2)
@@ -269,14 +251,14 @@ def curvature_to_ph(matrix: CurvatureMatrix, k: int) -> GrassmannElement:
 # the superdeterminant
 # ---------------------------------------------------------------------------
 
-def fredholm_log_det(curvature: CurvatureLike, bc: BoundaryCondition):
+def fredholm_log_det(traces: Sequence, bc: BoundaryCondition):
     """log of the Fredholm determinant det(Id - i R (d/dt)^{-1}) on the given
-    mode set: -sum_{k>=1} Tr((iR)^{2k}) Tr((d/dt)^{-2k}) / (2k).  The odd
-    orders vanish: the entries are even, so they commute, and antisymmetry
-    gives Tr(R^m) = Tr((R^m)^T) = (-1)^m Tr(R^m)."""
-    scaled = [curvature.scaled_trace(k) for k in range(1, curvature.max_relevant_k() + 1)]
-    acc = 0 * scaled[0]
-    for k, trace in enumerate(scaled, 1):
+    mode set: -sum_{k>=1} Tr((iR)^{2k}) Tr((d/dt)^{-2k}) / (2k), from the
+    scaled traces traces[k-1] = (i r)^{2k} Tr(R^{2k}).  The odd orders
+    vanish: the entries are even, so they commute, and antisymmetry gives
+    Tr(R^m) = Tr((R^m)^T) = (-1)^m Tr(R^m)."""
+    acc = 0 * traces[0]
+    for k, trace in enumerate(traces, 1):
         if trace.is_zero():
             # a zero trace does not end the sum: Tr(R^2) can vanish while
             # Tr(R^4) does not; past the first zero power the traces are free
@@ -288,9 +270,10 @@ def fredholm_log_det(curvature: CurvatureLike, bc: BoundaryCondition):
     return acc
 
 
-def sdet(curvature: CurvatureLike, pp: bool = False) -> Union[GradedPolynomial, GrassmannElement]:
+def sdet(traces: Sequence, pp: bool = False):
     """The zeta-superdeterminant pf(D_eta1) pf(D_eta2) / det(D_a)^{1/2}, with
-    the boundary conditions of PA_BOUNDARY (eta2 periodic too when pp).
+    the boundary conditions of PA_BOUNDARY (eta2 periodic too when pp), from
+    the scaled traces of the curvature (see fredholm_log_det).
 
     A Pfaffian is det^{1/2}, D_eta1 carries no curvature, and D_a =
     (d/dt)(d/dt - i R) has the Fredholm factor of a first-order block, so
@@ -298,20 +281,23 @@ def sdet(curvature: CurvatureLike, pp: bool = False) -> Union[GradedPolynomial, 
     powers of the free parts cancel (free_r_exponent).
     """
     eta2 = BoundaryCondition.PERIODIC if pp else PA_BOUNDARY["eta2"]
-    log_total = (fredholm_log_det(curvature, eta2)
-                 - fredholm_log_det(curvature, PA_BOUNDARY["a"])) * Fraction(1, 2)
+    log_total = (fredholm_log_det(traces, eta2)
+                 - fredholm_log_det(traces, PA_BOUNDARY["a"])) * Fraction(1, 2)
     return log_total.exp()
 
 
 def sdet_formal(n: int, K: int, pp: bool = False) -> GradedPolynomial:
     """Formal-mode superdeterminant as a graded polynomial in ph_1..ph_K.  The
     fiber dimension n enters only the free parts, which cancel."""
-    return sdet(FormalCurvature(K), pp)  # type: ignore[return-value]
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    return sdet([_ph_scale(k) * GradedPolynomial.generator(k, K, "ph")
+                 for k in range(1, K + 1)], pp)
 
 
 def sdet_concrete(matrix: CurvatureMatrix, pp: bool = False) -> GrassmannElement:
     """Concrete-mode superdeterminant for a Grassmann curvature matrix."""
-    return sdet(matrix, pp)  # type: ignore[return-value]
+    return sdet([matrix.scaled_trace(k) for k in range(1, matrix.max_relevant_k() + 1)], pp)
 
 
 def demo_curvature() -> CurvatureMatrix:

@@ -83,13 +83,13 @@ def test_criterion_1_superalgebra_suite():
 def test_criterion_2_berezin_expansion():
     with _Criterion(2, "linearized action: component Lagrangian and operators", 1.0):
         for n in (1, 2):
-            result = lin.expand_linearized_action(n)
+            lagrangian = lin.expand_linearized_action(n)
             display = lin.normal_form_dt(lin.displayed_lagrangian(n))
-            assert (result.lagrangian - display).is_zero()
-            assert {block: result.boundary_conditions[block] for block in zs.PA_BOUNDARY} \
-                == zs.PA_BOUNDARY
-            assert zs.PA_BOUNDARY["eta2"] == zs.BoundaryCondition.ANTIPERIODIC
-            assert result.boundary_conditions["G"] == zs.BoundaryCondition.ANTIPERIODIC
+            assert (lagrangian - display).is_zero()
+        bcs = lin.derive_boundary_conditions()
+        assert {block: bcs[block] for block in zs.PA_BOUNDARY} == zs.PA_BOUNDARY
+        assert zs.PA_BOUNDARY["eta2"] == zs.BoundaryCondition.ANTIPERIODIC
+        assert bcs["G"] == zs.BoundaryCondition.ANTIPERIODIC
 
 
 def test_criterion_3_kernel_characterization():

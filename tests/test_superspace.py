@@ -105,7 +105,8 @@ def test_descend_check_translation():
 def test_descend_check_time_reversal():
     r, rho1 = even("r"), odd("rho1")
     res_p = ss.descend_check(None, ss.RP, (r, rho1))
-    assert res_p.descends and res_p.orientation == -1
+    # rp sends r to -r, so the positive generator is -rp(L)
+    assert res_p.descends and (res_p.generator[0] - r).is_zero()
     assert (res_p.generator[1] + I * rho1).is_zero()
     res_m = ss.descend_check(None, ss.RM, (r, rho1))
     assert (res_m.generator[1] - I * rho1).is_zero()
@@ -121,7 +122,7 @@ def test_descent_over_all_of_t(plus, minus):
     xi = (1, I, -1, -I)[(plus - minus) % 4] * rho1
     for translation, nu in ((None, scalar(0)), ((u, nu1, scalar(0)), nu1)):
         res = ss.descend_check(translation, twist, (r, rho1))
-        assert res.descends and res.orientation == s and res.residual is None
+        assert res.descends and res.residual is None
         assert (res.generator[0] - s * (s * r + 2 * I * nu * xi)).is_zero()
         assert (res.generator[1] - s * xi).is_zero()
     res = ss.descend_check((u, nu1, nu2), twist, (r, rho1))

@@ -92,7 +92,14 @@ def test_trace_argument_validation():
 
 def test_fredholm_zero_curvature():
     matrix = zs.CurvatureMatrix([[scalar(0), scalar(0)], [scalar(0), scalar(0)]])
-    assert zs.fredholm_log_det(matrix, BC.PERIODIC).is_zero()
+    traces = [matrix.scaled_trace(k) for k in range(1, matrix.max_relevant_k() + 1)]
+    assert zs.fredholm_log_det(traces, BC.PERIODIC).is_zero()
+
+
+def _formal_traces(K):
+    """The formal scaled traces (i r)^{2k} Tr(R^{2k}) = 2 (2k)! 4^k ph_k."""
+    return [2 * math.factorial(2 * k) * 4 ** k * cs.GradedPolynomial.generator(k, K, "ph")
+            for k in range(1, K + 1)]
 
 
 def test_formal_log_det_exponent():
@@ -100,7 +107,7 @@ def test_formal_log_det_exponent():
     # coefficient of ph_k is -(2/k) 4^k (2k)! zeta_over_2pii(2k), nonzero for
     # every k: the sum runs to the top order K however large K is
     for K in (3, 17):
-        log_det = zs.fredholm_log_det(zs.FormalCurvature(K), BC.PERIODIC)
+        log_det = zs.fredholm_log_det(_formal_traces(K), BC.PERIODIC)
         for k in range(1, K + 1):
             coeff = -Fraction(2, k) * Fraction(4) ** k * math.factorial(2 * k) \
                 * cs.zeta_over_2pii(2 * k)
@@ -304,7 +311,7 @@ def test_formal_log_det_antiperiodic_exponent():
     # the determinant exponent over half-integer modes: coefficient of ph_k is
     # -(2/k) 4^k (2k)! lambda_over_2pii(2k)
     K = 3
-    log_det = zs.fredholm_log_det(zs.FormalCurvature(K), BC.ANTIPERIODIC)
+    log_det = zs.fredholm_log_det(_formal_traces(K), BC.ANTIPERIODIC)
     for k in range(1, K + 1):
         coeff = -Fraction(2, k) * Fraction(4) ** k * math.factorial(2 * k) \
             * cs.lambda_over_2pii(2 * k)
