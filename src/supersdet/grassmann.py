@@ -180,37 +180,27 @@ class GrassmannElement:
                                      for (mask, even), coeff in self.terms.items()
                                      if mask & b})
 
+    def derivative_even(self, name: str) -> "GrassmannElement":
+        """Partial derivative with respect to an even variable."""
+        out = {}
+        for (mask, even), coeff in self.terms.items():
+            for idx, (var, exp) in enumerate(even):
+                if var == name:
+                    # only the exponent of name changes, so the keys stay distinct
+                    lowered = ((var, exp - 1),) if exp != 1 else ()
+                    out[(mask, even[:idx] + lowered + even[idx + 1:])] = coeff * exp
+        return GrassmannElement._of(out)
+
     def derive_even(self, images: Mapping[str, "GrassmannElement"]) -> "GrassmannElement":
         """Apply the even derivation sending each named generator/variable to
-        its image, extended by the (sign-free) Leibniz rule.
-
-        Keys may be even variable names or odd generator names; generators
-        without an image are treated as constants.
+        its image: the sum of image * partial over the names.  The partial of
+        an odd generator is its left derivative, so the image of an odd
+        generator must be odd; names without an image are constants.
         """
-        acc = GrassmannElement()
-        for (mask, even), coeff in self.terms.items():
-            # even-variable slots
-            for idx, (name, exp) in enumerate(even):
-                image = images.get(name)
-                if image is None:
-                    continue
-                lowered = even[:idx] + ((name, exp - 1),) + even[idx + 1:]
-                lowered = tuple((n, e) for n, e in lowered if e != 0)
-                piece = GrassmannElement({(mask, tuple(sorted(lowered))): coeff * exp})
-                acc = acc + piece * image
-            # odd-generator slots, in bit order: replace in place, and
-            # multiplication restores the order
-            rest = mask
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                image = images.get(_NAMES[b.bit_length() - 1])
-                if image is None:
-                    continue
-                left = GrassmannElement({(mask & (b - 1), even): coeff})
-                right = GrassmannElement({(rest, _EMPTY): GaussianRational(1)})
-                acc = acc + left * image * right
-        return acc
+        odd_names = self.odd_generators()
+        return sum((image * (self.derivative_odd(name) if name in odd_names
+                             else self.derivative_even(name))
+                    for name, image in images.items()), GrassmannElement())
 
     def substitute_odd(self, name: str, value: "GrassmannElement") -> "GrassmannElement":
         """Replace an odd generator by an odd element (or zero)."""

@@ -175,32 +175,22 @@ def normal_form_dt(element: G) -> G:
 
 def derive_boundary_conditions() -> Dict[str, BoundaryCondition]:
     """Periodicity of each component under one loop of the PA circle: the
-    holonomy fixes theta1 and flips theta2; matching coefficients of the
-    twisted superfield against the original gives X(t) = s X(t + r) with
-    s = +1 (periodic) or s = -1 (antiperiodic)."""
+    holonomy fixes theta1 and flips theta2.  Each component sits in one term
+    of the superfield, and the twist keeps or negates that term's
+    coefficient, so X(t) = s X(t + r) with s = +1 (periodic) or s = -1
+    (antiperiodic)."""
     entry = fluctuation_field(1)[0]
-    twisted = entry.substitute_odd("theta2", -odd("theta2"))
-
-    def theta_coefficient(element: G, base: str) -> G:
-        if base == "a":
-            return element.substitute_odd("theta1", scalar(0)) \
-                          .substitute_odd("theta2", scalar(0))
-        if base == "eta1":
-            return element.derivative_odd("theta1").substitute_odd("theta2", scalar(0))
-        if base == "eta2":
-            return element.derivative_odd("theta2").substitute_odd("theta1", scalar(0))
-        return berezin_integrate(element)
-
+    twisted = entry.substitute_odd("theta2", -odd("theta2")).terms
     out: Dict[str, BoundaryCondition] = {}
-    for base in ("a", "eta1", "eta2", "G"):
-        original = theta_coefficient(entry, base)
-        shifted = theta_coefficient(twisted, base)
-        if (shifted - original).is_zero():
-            out[base] = BoundaryCondition.PERIODIC
-        elif (shifted + original).is_zero():
-            out[base] = BoundaryCondition.ANTIPERIODIC
-        else:
+    for key, coeff in entry.terms.items():
+        # the term's one component symbol names its block
+        ((base, _slot, _order),) = [parsed for name in names(key[0]) + [v for v, _ in key[1]]
+                                    if (parsed := _parse_component(name))]
+        bc = {coeff: BoundaryCondition.PERIODIC,
+              -coeff: BoundaryCondition.ANTIPERIODIC}.get(twisted.get(key))
+        if bc is None:
             raise AssertionError(f"holonomy acts on {base} by neither +1 nor -1")
+        out[base] = bc
     return out
 
 

@@ -9,6 +9,8 @@ Conventions fixed by internal consistency checks (see the verification
 suites): the time-reversal generators flip t (they must act by group
 automorphisms), and the 1|1-dimensional translation law carries the same
 i as the 1|2-dimensional one (so the evident inclusion is a homomorphism).
+In closed form, rp^a rm^b sends (t, theta1, theta2) to
+((-1)^{a+b} t, i^{a-b} theta1, i^{a+b} theta2).
 """
 
 from __future__ import annotations
@@ -80,69 +82,38 @@ def multiply_r11(a: Tuple[G, G], b: Tuple[G, G]) -> Tuple[G, G]:
 # ---------------------------------------------------------------------------
 
 class TimeReversal(Record):
-    """Normal form rp^a * rm^b in the order-8 abelian group generated by the
-    two time reversals rp, rm with rp^4 = e and rp^2 = rm^2."""
+    """rp^plus * rm^minus in the order-8 abelian group generated by the two
+    time reversals rp, rm with rp^4 = e and rp^2 = rm^2."""
 
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus: int = 0, minus: int = 0):
-        self.plus = plus    # exponent of rp, mod 4 after folding rm^2 -> rp^2
-        self.minus = minus  # exponent of rm, mod 2
-
-    @staticmethod
-    def word(plus: int = 0, minus: int = 0) -> "TimeReversal":
-        minus_red = minus % 2
-        plus_red = (plus + (minus - minus_red)) % 4  # fold rm^2 = rp^2
-        return TimeReversal(plus_red, minus_red)
+        # the normal form: minus mod 2, with rm^2 = rp^2 folded into plus mod 4
+        self.plus, self.minus = (plus + minus - minus % 2) % 4, minus % 2
 
     def __mul__(self, other: "TimeReversal") -> "TimeReversal":
-        return TimeReversal.word(self.plus + other.plus, self.minus + other.minus)
-
-    def is_identity(self) -> bool:
-        return self.plus == 0 and self.minus == 0
-
-    def __str__(self) -> str:
-        if self.is_identity():
-            return "e"
-        bits = []
-        if self.plus:
-            bits.append("rp" if self.plus == 1 else f"rp^{self.plus}")
-        if self.minus:
-            bits.append("rm")
-        return "*".join(bits)
+        return TimeReversal(self.plus + other.plus, self.minus + other.minus)
 
 
 RP = TimeReversal(1, 0)
 RM = TimeReversal(0, 1)
 PA_HOLONOMY = RP * RM
 
-
-def _act_rp(p: SuperPoint) -> SuperPoint:
-    return point_r12(-p.even_part, I * p.odd_parts[0], I * p.odd_parts[1])
-
-
-def _act_rm(p: SuperPoint) -> SuperPoint:
-    return point_r12(-p.even_part, -I * p.odd_parts[0], I * p.odd_parts[1])
+_I_POWERS = (1, I, -1, -I)  # i^k, indexed by k mod 4
 
 
 def act_time_reversal(g: TimeReversal, p: SuperPoint) -> SuperPoint:
-    """Action of T on R^{1|2}; the generators act by (t,o1,o2) -> (-t, +-i o1, i o2)."""
-    out = p
-    for _ in range(g.minus):
-        out = _act_rm(out)
-    for _ in range(g.plus):
-        out = _act_rp(out)
-    return out
+    """Action of T on R^{1|2}: rp^a rm^b sends (t, o1, o2) to
+    ((-1)^{a+b} t, i^{a-b} o1, i^{a+b} o2)."""
+    return point_r12((-1) ** (g.plus + g.minus) * p.even_part,
+                     _I_POWERS[(g.plus - g.minus) % 4] * p.odd_parts[0],
+                     _I_POWERS[(g.plus + g.minus) % 4] * p.odd_parts[1])
 
 
 def act_time_reversal_r11(g: TimeReversal, a: Tuple[G, G]) -> Tuple[G, G]:
-    """Action of T on R^{1|1}: rp.(u,v) = (-u, iv), rm.(u,v) = (-u, -iv)."""
+    """Action of T on R^{1|1}: rp^a rm^b sends (u, v) to ((-1)^{a+b} u, i^{a-b} v)."""
     u, v = a
-    for _ in range(g.minus):
-        u, v = -u, -I * v
-    for _ in range(g.plus):
-        u, v = -u, I * v
-    return (u, v)
+    return ((-1) ** (g.plus + g.minus) * u, _I_POWERS[(g.plus - g.minus) % 4] * v)
 
 
 def include_r11(a: Tuple[G, G]) -> SuperPoint:
@@ -155,7 +126,7 @@ def include_r11(a: Tuple[G, G]) -> SuperPoint:
 # ---------------------------------------------------------------------------
 
 def d_t(f: G) -> G:
-    return f.derive_even({"t": scalar(1)})
+    return f.derivative_even("t")
 
 
 def apply_D(i: int, f: G) -> G:
@@ -214,13 +185,14 @@ class DescentResult(Record):
 
 
 _FRESH = ("_pt_t", "_pt_th1", "_pt_th2")
+_THETA = "_base_theta"  # the odd coordinate of the induced base map
 
 
 def _fresh_point(*elements: G) -> SuperPoint:
     used = set()
     for e in elements:
         used |= e.odd_generators() | e.even_variables()
-    for name in _FRESH:
+    for name in (*_FRESH, _THETA):
         if name in used:
             raise ValueError(f"reserved coordinate name {name!r} used in input")
     return point_r12(even(_FRESH[0]), odd(_FRESH[1]), odd(_FRESH[2]))
@@ -298,9 +270,6 @@ class OddAffineMap(Record):
     def inverse(self) -> "OddAffineMap":
         beta_inv = self.beta.invert_unit()
         return OddAffineMap(-beta_inv * self.alpha, beta_inv)
-
-
-_THETA = "_base_theta"
 
 
 def induced_base_map(translation: Tuple[G, G], twist: TimeReversal,

@@ -105,15 +105,20 @@ def _check_time_reversal_relations() -> str:
     pa = ss.act_time_reversal(ss.PA_HOLONOMY, p)
     expected = ss.point_r12(p.even_part, p.odd_parts[0], -p.odd_parts[1])
     check((pa - expected).is_zero(), "holonomy is not (t, o1, -o2)")
+    # the product of T is the composite of the actions
+    for g, h in ((ss.RP, ss.RP), (ss.RP, ss.RM), (ss.RM, ss.RP), (ss.RM, ss.RM)):
+        composite = ss.act_time_reversal(g, ss.act_time_reversal(h, p))
+        check(ss.act_time_reversal(g * h, p) == composite)
     # group order: 8 distinct normal forms
-    elements = {(ss.TimeReversal.word(a_, b_).plus, ss.TimeReversal.word(a_, b_).minus)
-                for a_ in range(4) for b_ in range(2)}
+    elements = {ss.TimeReversal(a_, b_) for a_ in range(4) for b_ in range(2)}
     check(len(elements) == 8)
     return "order 4, commutativity, rp^2 = rm^2, holonomy flips the second odd"
 
 
 def _check_d_operators() -> str:
     th1, th2 = odd("theta1"), odd("theta2")
+    for a in range(1, 5):
+        check(ss.d_t(even("t", a)) == a * even("t", a - 1))
     for a in range(5):
         for b in (0, 1):
             for c in (0, 1):

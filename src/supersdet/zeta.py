@@ -154,17 +154,18 @@ class CurvatureMatrix:
         self._scaled = {}
 
     def matrix_power_trace(self, m: int) -> GrassmannElement:
-        """Tr(R^m), from the diagonal of R^{m-1} R.  The powers of R are built
-        once per matrix, one product at a time, up to the first zero power;
-        every higher power, and so its trace, vanishes (the entries are
-        nilpotent).  R^m itself is built only when a higher trace needs it."""
+        """Tr(R^m), from the diagonal of R^{m-1} R.  An entry term holds at
+        least two odd generators, so R^m = 0 once 2m exceeds their count g,
+        and past that bound no power is built.  Below it the powers of R are
+        built once per matrix, one product at a time, as traces need them."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        powers = self._powers
-        while len(powers) < m and any(any(row) for row in powers[-1]):
-            powers.append(_matmul(powers[-1], self._columns, len(powers) & 1, self._signs))
-        if len(powers) < m:
+        # m > g is correct too, only slower: it builds the zero powers past g/2
+        if 2 * m > self._generators:
             return GrassmannElement()
+        powers = self._powers
+        while len(powers) < m:
+            powers.append(_matmul(powers[-1], self._columns, len(powers) & 1, self._signs))
         # Tr(R^{m-1} R) = sum_{i,k} (R^{m-1})_{ik} R_{ki}: one entry over
         # all rows of R^{m-1} against all columns of R
         acc = _entry(chain(*powers[m - 1]), chain(*self._columns), self._signs)
@@ -261,7 +262,7 @@ def fredholm_log_det(traces: Sequence, bc: BoundaryCondition):
     for k, trace in enumerate(traces, 1):
         if trace.is_zero():
             # a zero trace does not end the sum: Tr(R^2) can vanish while
-            # Tr(R^4) does not; past the first zero power the traces are free
+            # Tr(R^4) does not; past the generator bound the traces are free
             continue
         tau = trace_inv_power(bc, 2 * k)
         # (i r)^{2k} Tr(R^{2k}) carries r^{+2k}; tau's rational part carries the

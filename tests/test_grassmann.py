@@ -83,6 +83,11 @@ def test_even_derivation_leibniz():
     h = odd("a") * odd("b")
     bumped = h.derive_even({"a": odd("a2")})
     assert (bumped - odd("a2") * odd("b")).is_zero()
+    assert h.derive_even({"b": odd("b2")}) == odd("a") * odd("b2")
+    # d/dt t^a = a t^(a-1), also beside odd factors and other variables
+    for a in range(1, 5):
+        f = odd("a") * even("t", a) * even("x")
+        assert f.derivative_even("t") == a * odd("a") * even("t", a - 1) * even("x")
 
 
 def test_substitute_odd():

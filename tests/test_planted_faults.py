@@ -2,10 +2,10 @@
 by accident.
 
 Each entry names a library file, an exact source snippet, its replacement,
-and the verify checks that must then read FAIL.  The mutant is a temporary
-copy of src/ with that one replacement, and `python -O -m supersdet.cli
-verify --format json` runs on it in a subprocess; the mutants run together,
-at most one per CPU.  A snippet must occur exactly once, so the catalogue
+and the verify checks that then read FAIL, exactly: a killer lost among
+several shows as a mismatch.  The mutant is a temporary copy of src/ with
+that one replacement, and `python -O -m supersdet.cli verify --format json`
+runs on it in a subprocess; the mutants run together, at most one per CPU.  A snippet must occur exactly once, so the catalogue
 breaks loudly when the code moves.
 
 A mutant that no verify check kills is a known survivor: its entry names no
@@ -41,6 +41,26 @@ class Fault(NamedTuple):
 
 
 FAULTS = {
+    # the even partial with the exponent dropped: d/dt t^a = t^{a-1}
+    "even-partial-factor": Fault(
+        "grassmann.py",
+        "= coeff * exp",
+        "= coeff",
+        frozenset({"odd derivations square to -i d/dt"})),
+    # the even partial of an odd generator is zero: the abstract time
+    # derivative no longer moves the odd components
+    "derive-even-odd-partial": Fault(
+        "grassmann.py",
+        """(self.derivative_odd(name) if name in odd_names
+                             else self.derivative_even(name))""",
+        "self.derivative_even(name)",
+        frozenset({"linearized action expansion"})),
+    # a twist that fixes theta2 makes every component periodic
+    "boundary-twist-sign": Fault(
+        "linearization.py",
+        'substitute_odd("theta2", -odd("theta2"))',
+        'substitute_odd("theta2", odd("theta2"))',
+        frozenset({"linearized action expansion"})),
     "berezin-derivative-order": Fault(
         "linearization.py",
         'return f.derivative_odd("theta1").derivative_odd("theta2")',
@@ -66,25 +86,29 @@ FAULTS = {
         "[math.factorial(w) * B ** w for w",
         "[math.factorial(w) * B for w",
         frozenset({"L-polynomials against brute force", "Whitney multiplicativity",
-                   "superdeterminant equals the signature class"})),
+                   "superdeterminant equals the signature class",
+                   "degree parts in Pontryagin classes", "concrete curvature cross-check"})),
     "substitute-image-scale": Fault(
         "series.py",
         "[d * D ** w for w",
         "[d * D for w",
         frozenset({"Newton conversions invertible",
-                   "superdeterminant equals the signature class"})),
+                   "superdeterminant equals the signature class",
+                   "degree parts in Pontryagin classes"})),
     "substitute-prefix-reuse": Fault(
         "series.py",
         "del products[shared + 1:]",
         "del products[shared:]",
         frozenset({"Newton conversions invertible",
-                   "superdeterminant equals the signature class"})),
+                   "superdeterminant equals the signature class",
+                   "degree parts in Pontryagin classes"})),
     "packed-key-shift": Fault(
         "series.py",
         "shift = nvars.bit_length()",
         "shift = nvars.bit_length() - 1",
         frozenset({"L-polynomials against brute force", "Newton conversions invertible",
-                   "superdeterminant equals the signature class"})),
+                   "superdeterminant equals the signature class",
+                   "Whitney multiplicativity", "degree parts in Pontryagin classes"})),
     "cosh-root-scale": Fault(
         "verify.py",
         "cosh_full = cs.series_cosh_half(8).rescale_root(Fraction(2))",
@@ -114,12 +138,19 @@ FAULTS = {
         "range(i + odd_power, n)",
         "range(i + 1, n)",
         frozenset({"concrete curvature cross-check"})),
-    # past the first zero power every trace is zero, not Tr(R^2)
+    # past the generator bound every trace is zero, not Tr(R^2)
     "trace-past-zero-power": Fault(
         "zeta.py",
         "return GrassmannElement()",
         "return self.matrix_power_trace(2)",
-        frozenset({"trace termination and antisymmetry"})),
+        frozenset({"trace termination and antisymmetry", "concrete curvature cross-check"})),
+    # a bound that drops Tr(R^m) at 2m = g, where its terms hold every
+    # generator; 2 * m > read as m > is equivalent, and only slower
+    "trace-generator-bound": Fault(
+        "zeta.py",
+        "if 2 * m > self._generators:",
+        "if 2 * m >= self._generators:",
+        frozenset({"concrete curvature cross-check", "trace termination and antisymmetry"})),
     # a term of Tr(R^{2k}) holds 4k generators; with g // 8 the 4-cycle over
     # 8 generators drops its Tr(R^4) term, the demo over 4 keeps k = 1
     "trace-bound": Fault(
@@ -139,7 +170,8 @@ FAULTS = {
         "(Fraction(2) ** two_k + 1) * zeta_over_2pii(two_k)",
         frozenset({"Bernoulli and even zeta values", "exponential product identities",
                    "log of the characteristic series", "inverse-power mode traces",
-                   "superdeterminant equals the signature class"})),
+                   "superdeterminant equals the signature class",
+                   "degree parts in Pontryagin classes", "concrete curvature cross-check"})),
     "newton-power-sum-scale": Fault(
         "series.py",
         "math.factorial(2 * i)",
@@ -228,18 +260,24 @@ FAULTS = {
         frozenset({"1|1 inclusion homomorphism (i-convention pinned)", "action on field data"})),
     "rp-keeps-t": Fault(
         "superspace.py",
-        "return point_r12(-p.even_part, I * p.odd_parts[0], I * p.odd_parts[1])",
-        "return point_r12(p.even_part, I * p.odd_parts[0], I * p.odd_parts[1])",
+        "(-1) ** (g.plus + g.minus) * p.even_part,",
+        "p.even_part,",
         frozenset({"time reversal acts by automorphisms (t -> -t pinned)",
-                   "time reversal group relations", "projection invariance under the lattice",
-                   "1|1 inclusion homomorphism (i-convention pinned)", "descent of translations",
-                   "descent of time reversals", "induced map on the odd line",
-                   "action on field data"})),
+                   "descent of time reversals",
+                   "1|1 inclusion homomorphism (i-convention pinned)"})),
+    # i^{a+b+2} on the second odd coordinate: rp and rm negate it where
+    # they should multiply it by i
     "rp-second-odd-sign": Fault(
         "superspace.py",
-        "return point_r12(-p.even_part, I * p.odd_parts[0], I * p.odd_parts[1])",
-        "return point_r12(-p.even_part, I * p.odd_parts[0], -I * p.odd_parts[1])",
+        "_I_POWERS[(g.plus + g.minus) % 4] * p.odd_parts[1]",
+        "_I_POWERS[(g.plus + g.minus + 2) % 4] * p.odd_parts[1]",
         frozenset({"time reversal group relations", "descent of translations"})),
+    # without the fold rm^2 = rp^2 the product rm * rm is the identity
+    "rm-squared-fold": Fault(
+        "superspace.py",
+        "(plus + minus - minus % 2) % 4",
+        "plus % 4",
+        frozenset({"time reversal group relations"})),
     "right-d-sign": Fault(
         "superspace.py",
         "return f.derivative_odd(name) - I * odd(name) * d_t(f)",
@@ -357,7 +395,7 @@ def test_planted_fault(mutant_runs, name):
     fault = FAULTS[name]
     failed, probe = mutant_runs[name].result()
     if not fault.survivor_test:
-        assert fault.killed_by and fault.killed_by <= failed, sorted(failed)
+        assert fault.killed_by and fault.killed_by == failed, sorted(failed)
         return
     assert not failed, f"verify kills this survivor now, by {sorted(failed)}"
     assert probe.returncode != 0 and "AssertionError" in probe.stderr, probe.stderr

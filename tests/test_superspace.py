@@ -57,10 +57,10 @@ def test_time_reversal_is_a_group_action():
 def test_time_reversal_normal_form():
     e = ss.TimeReversal()
     assert (ss.RP * ss.RP * ss.RP * ss.RP) == e
-    assert (ss.RM * ss.RM) == ss.RP * ss.RP
-    assert ss.TimeReversal.word(-1) * ss.RP == e
-    assert ss.TimeReversal.word(0, -1) * ss.RM == e
-    elements = {ss.TimeReversal.word(a, b) for a in range(8) for b in range(4)}
+    assert (ss.RM * ss.RM) == ss.RP * ss.RP == ss.TimeReversal(0, 2)
+    assert ss.TimeReversal(-1) * ss.RP == e
+    assert ss.TimeReversal(0, -1) * ss.RM == e
+    elements = {ss.TimeReversal(a, b) for a in range(8) for b in range(4)}
     assert len(elements) == 8
 
 
@@ -117,7 +117,7 @@ def test_descent_over_all_of_t(plus, minus):
     # rp^a rm^b sends L = (r, rho1, 0) to (x, xi, 0) = ((-1)^(a+b) r, i^a (-i)^b rho1, 0)
     r, rho1 = even("r"), odd("rho1")
     u, nu1, nu2 = even("u"), odd("nu1"), odd("nu2")
-    twist = ss.TimeReversal.word(plus, minus)
+    twist = ss.TimeReversal(plus, minus)
     s = (-1) ** (plus + minus)
     xi = (1, I, -1, -I)[(plus - minus) % 4] * rho1
     for translation, nu in ((None, scalar(0)), ((u, nu1, scalar(0)), nu1)):
@@ -181,6 +181,16 @@ def test_action_on_fields_runs_the_descent_analysis_once(monkeypatch):
     state = (even("r"), odd("rho1"), even("x"), odd("psi"))
     ss.action_on_fields(even("u"), odd("nu1"), state)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["_pt_t", "_pt_th1", "_pt_th2", "_base_theta"])
+def test_reserved_names_are_rejected(name):
+    r, rho1, u = even("r"), odd("rho1"), even("u")
+    nu1 = even(name) * odd("nu1") if name == "_pt_t" else odd(name)
+    with pytest.raises(ValueError, match="reserved coordinate name"):
+        ss.induced_base_map((u, nu1), ss.TimeReversal(), (r, rho1))
+    with pytest.raises(ValueError, match="reserved coordinate name"):
+        ss.action_on_fields(u, nu1, (r, rho1, even("x"), odd("psi")))
 
 
 def test_r11_inclusion_needs_the_i():

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,28 @@ def test_concrete_sum_continues_past_a_zero_trace():
     assert zs.sdet_concrete(matrix) == expected
     phs = [zs.curvature_to_ph(matrix, k) for k in range(1, 5)]
     assert zs.substitute_ph(zs.sdet_formal(4, 4), phs) == expected
+
+
+def test_traces_past_the_generator_bound_build_no_power(monkeypatch):
+    # an 8x8 curvature over 10 generators: a term of R^m holds 2m of them,
+    # so Tr(R^6), Tr(R^8) and Tr(R^10) vanish without a matrix product
+    rng = random.Random(8)
+    psi = [odd(f"psi{a}") for a in range(10)]
+    rows = [[scalar(0)] * 8 for _ in range(8)]
+    for i in range(8):
+        for j in range(i + 1, 8):
+            w = scalar(0)
+            for _ in range(1 + rng.randrange(2)):
+                a, b = rng.sample(range(10), 2)
+                w = w + rng.choice((-2, -1, 1, 2)) * psi[a] * psi[b]
+            rows[i][j], rows[j][i] = w, -w
+    matrix = zs.CurvatureMatrix(rows)
+    zs.sdet_concrete(matrix)
+    calls = []
+    original = zs._matmul
+    monkeypatch.setattr(zs, "_matmul", lambda *args: calls.append(None) or original(*args))
+    assert all(zs.curvature_to_ph(matrix, k).is_zero() for k in range(3, 6))
+    assert not calls
 
 
 def test_concrete_pp_sector():
