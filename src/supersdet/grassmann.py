@@ -124,7 +124,8 @@ class GrassmannElement:
         return GrassmannElement.coerce(other) - self
 
     def __mul__(self, other: Coercible) -> "GrassmannElement":
-        other = GrassmannElement.coerce(other)
+        if not isinstance(other, GrassmannElement):
+            return GrassmannElement._of(terms.scale(self.terms, GaussianRational.coerce(other)))
         return GrassmannElement._of(
             terms.product(self.terms.items(), other.terms.items(), _combine))
 

@@ -296,9 +296,8 @@ class GradedPolynomial:
         """Replace generator g_i by images[i-1], homogeneous of weight i; the
         images share one context, the context of the result.  With D the lcm
         of their denominators, Y_i = D^i images[i-1] is integral and a
-        monomial of weight w maps to its product of Y_i over D^w.  Monomials
-        are walked in sorted order of their factors, largest first, so a
-        product that several share, a common prefix, is built once."""
+        monomial of weight w maps to its product of Y_i over D^w, built on
+        the prefix walk of _prefix_products."""
         if len(images) != self.nvars:
             raise ValueError("need one image per generator")
         for i, image in enumerate(images, 1):
@@ -308,41 +307,24 @@ class GradedPolynomial:
         D, Y = _cleared(nvars, [{}] + [image.coeffs for image in images])
         d = math.lcm(*(c.denominator for c in self.coeffs.values()))
         out = [_Piece() for _ in range(nvars + 1)]
-        path, products = (), [_Piece({0: 1})]
-        monomials = sorted((tuple(i for i in range(self.nvars, 0, -1) for _ in range(e[i - 1])),
-                            c.numerator * (d // c.denominator)) for e, c in self.coeffs.items())
-        for factors, c in monomials:
-            w = sum(factors)
-            if w > nvars:
-                continue
-            shared = next((k for k, (a, b) in enumerate(zip(path, factors)) if a != b),
-                          min(len(path), len(factors)))
-            del products[shared + 1:]
-            for i in factors[shared:]:
-                products.append(products[-1] * Y[i])
-            for key, v in products[-1].items():
+        monomials = [(e, (w, c.numerator * (d // c.denominator))) for e, c in self.coeffs.items()
+                     if (w := self.weight_of(e)) <= nvars]
+        for (w, c), product in _prefix_products(monomials, Y[1:], _Piece({0: 1})):
+            for key, v in product.items():
                 terms.accumulate(out[w], key, c * v)
-            path = factors
         return _from_pieces(nvars, images[0].basis, out, [d * D ** w for w in range(nvars + 1)])
 
     def evaluate(self, values: Sequence) -> object:
         """Evaluate at given generator values (anything with ring operations,
         e.g. Fractions or even Grassmann elements); the result has the type
         of the values.  A monomial with a positive exponent on a zero value
-        is skipped before any product."""
+        is skipped; the others walk _prefix_products, coefficient last."""
         if len(values) != self.nvars:
             raise ValueError("need one value per generator")
-        total = 0 * values[0]
         zeros = [i for i, v in enumerate(values) if not v]
-        for exps, c in self.coeffs.items():
-            if any(exps[i] for i in zeros):
-                continue
-            term = c
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * values[i]
-            total = total + term
-        return total
+        monomials = [(e, c) for e, c in self.coeffs.items() if not any(e[i] for i in zeros)]
+        return sum((c * product for c, product in _prefix_products(monomials, values, 1)),
+                   0 * values[0])
 
     def to_json(self) -> List[dict]:
         out = []
@@ -388,6 +370,23 @@ class _Piece(dict):
 
     def __mul__(self, other: "_Piece") -> "_Piece":
         return _Piece(terms.product(self.items(), other.items(), lambda a, b: (a + b, 1)))
+
+
+def _prefix_products(monomials, values, one):
+    """(payload, product of values[i] ** e[i]) for each (e, payload) of
+    monomials.  The monomials are walked in sorted order of their factor
+    lists, largest generator first, so a product that several share, a
+    common prefix, is built once and only the current path is held."""
+    path, products = (), [one]
+    for factors, payload in sorted((tuple(i for i in range(len(e) - 1, -1, -1) for _ in range(e[i])),
+                                    payload) for e, payload in monomials):
+        shared = next((k for k, (a, b) in enumerate(zip(path, factors)) if a != b),
+                      min(len(path), len(factors)))
+        del products[shared + 1:]
+        for i in factors[shared:]:
+            products.append(products[-1] * values[i])
+        path = factors
+        yield payload, products[-1]
 
 
 def _packing(nvars: int):

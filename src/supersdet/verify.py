@@ -109,9 +109,10 @@ def _check_time_reversal_relations() -> str:
     for g, h in ((ss.RP, ss.RP), (ss.RP, ss.RM), (ss.RM, ss.RP), (ss.RM, ss.RM)):
         composite = ss.act_time_reversal(g, ss.act_time_reversal(h, p))
         check(ss.act_time_reversal(g * h, p) == composite)
-    # group order: 8 distinct normal forms
-    elements = {ss.TimeReversal(a_, b_) for a_ in range(4) for b_ in range(2)}
-    check(len(elements) == 8)
+    # T acts faithfully: its 8 normal forms move p pairwise differently
+    images = [ss.act_time_reversal(ss.TimeReversal(a_, b_), p) for a_ in range(4) for b_ in range(2)]
+    check(all(images[i] != images[j] for i in range(8) for j in range(i)),
+          "two normal forms of T act alike")
     return "order 4, commutativity, rp^2 = rm^2, holonomy flips the second odd"
 
 
@@ -631,8 +632,8 @@ def _check_concrete_instance() -> str:
     cycle = zs.sdet_concrete(zs.CurvatureMatrix(rows))
     check(cycle == 1 - Fraction(7, 360) * top * even("r", 4), f"4-cycle sdet {cycle}")
     # the same cycle with sums of two generator pairs, the two edges at each
-    # vertex disjoint: the diagonal of R^2 has a nonzero square, which
-    # Tr(R^4) reads against explicit products
+    # vertex disjoint: Tr(R^2) and the nonzero square of R^2's diagonal,
+    # which Tr(R^4) reads, against explicit products
     pairs = [psi[2 * a] * psi[2 * a + 1] for a in range(4)]
     for i in range(4):
         j = (i + 1) % 4
@@ -640,16 +641,26 @@ def _check_concrete_instance() -> str:
         rows[i][j], rows[j][i] = w, -w
     square = [[sum((rows[i][k] * rows[k][j] for k in range(4)), scalar(0))
                for j in range(4)] for i in range(4)]
-    explicit = sum((square[i][j] * square[j][i] for i in range(4) for j in range(4)), scalar(0))
-    trace = zs.CurvatureMatrix(rows).matrix_power_trace(4)
-    check(trace == explicit, f"Tr(R^4) {trace}, explicit products {explicit}")
+    explicit = [sum((square[i][i] for i in range(4)), scalar(0)),
+                sum((square[i][j] * square[j][i] for i in range(4) for j in range(4)), scalar(0))]
+    traces = [zs.CurvatureMatrix(rows).matrix_power_trace(m) for m in (2, 4)]
+    check(traces == explicit, f"Tr(R^2), Tr(R^4) {traces}, explicit products {explicit}")
     return "dimension-4 Grassmann instance: concrete pipeline equals formal substitution"
 
 
 def _check_trace_termination() -> str:
+    # besides the demo, a seeded 4x4 over the pairing of 12 generators, two
+    # pairs per entry: its Tr(R^5) = Tr(R^3 R^2) reads the mirrored half of R^3
+    rng = random.Random(0)
+    pairs = [odd(f"psi{a}") * odd(f"psi{a + 1}") for a in range(0, 12, 2)]
+    upper = {(i, j): sum((rng.choice((-2, -1, 1, 2)) * pair for pair in rng.sample(pairs, 2)),
+                         scalar(0)) for i in range(4) for j in range(i + 1, 4)}
+    rows = [[upper[i, j] if i < j else -upper[j, i] if j < i else scalar(0)
+             for j in range(4)] for i in range(4)]
     matrix = zs.demo_curvature()
-    for m in range(1, 8, 2):
-        check(matrix.matrix_power_trace(m).is_zero(), f"odd-power trace Tr(R^{m}) is nonzero")
+    for traced in (matrix, zs.CurvatureMatrix(rows)):
+        for m in range(1, 8, 2):
+            check(traced.matrix_power_trace(m).is_zero(), f"odd-power trace Tr(R^{m}) is nonzero")
     check(matrix.matrix_power_trace(2 * matrix.max_relevant_k() + 2).is_zero())
     check(not matrix.matrix_power_trace(2).is_zero())
     return "odd traces vanish; powers beyond the generator count terminate"

@@ -17,9 +17,9 @@ collapse to Bernoulli rationals.  The curvature parts are Fredholm
 determinants, which `sdet` combines in one formula.  They depend on the
 curvature only through its scaled traces (i r)^{2k} Tr(R^{2k}), so `sdet`
 reads the list of those.  The formal ones are _ph_scale(k) ph_k, in
-Pontryagin-character generators; a concrete Grassmann matrix computes its
-own.  Trace normalization is calibrated so that the formal variables pair
-with classical Pontryagin classes under the Newton conversion (see
+Pontryagin-character generators; a concrete Grassmann matrix reads its own
+off R^k.  Trace normalization is calibrated so that the formal variables
+pair with classical Pontryagin classes under the Newton conversion (see
 curvature_to_ph).
 """
 
@@ -112,7 +112,8 @@ class CurvatureMatrix:
     """Concrete antisymmetric matrix with even nilpotent Grassmann entries.
 
     The powers of R are built in a kernel private to this class, on the
-    keys of the GrassmannElement entries and with their sign rule.  The
+    keys of the GrassmannElement entries and with their sign rule, and a
+    trace of R^m reads the powers up to R^{ceil(m/2)} only.  The
     denominators of all Q(i) coefficients are cleared once, R = R_int / d,
     so an entry is a dict {(mask, even monomial): (re, im)} over the
     Gaussian integers; a trace is divided by d^m when it leaves the kernel.
@@ -154,22 +155,30 @@ class CurvatureMatrix:
         self._scaled = {}
 
     def matrix_power_trace(self, m: int) -> GrassmannElement:
-        """Tr(R^m), from the diagonal of R^{m-1} R.  An entry term holds at
-        least two odd generators, so R^m = 0 once 2m exceeds their count g,
-        and past that bound no power is built.  Below it the powers of R are
+        """Tr(R^m) = Tr(R^a R^b) with a = ceil(m/2) and b = floor(m/2), so
+        only the powers up to R^a are built.  An entry term holds at least
+        two odd generators, so R^m = 0 once 2m exceeds their count g, and
+        past that bound no power is built.  Below it the powers of R are
         built once per matrix, one product at a time, as traces need them."""
         if m < 1:
             raise ValueError("m must be >= 1")
         # m > g is correct too, only slower: it builds the zero powers past g/2
         if 2 * m > self._generators:
             return GrassmannElement()
+        a, b = (m + 1) // 2, m // 2
         powers = self._powers
-        while len(powers) < m:
+        while len(powers) <= a:
             powers.append(_matmul(powers[-1], self._columns, len(powers) & 1, self._signs))
-        # Tr(R^{m-1} R) = sum_{i,k} (R^{m-1})_{ik} R_{ki}: one entry over
-        # all rows of R^{m-1} against all columns of R
-        acc = _entry(chain(*powers[m - 1]), chain(*self._columns), self._signs)
-        scale = self._denominator ** m
+        # (R^b)^T = (-1)^b R^b, so Tr(R^a R^b) = (-1)^b sum_{i,k} (R^a)_{ik} (R^b)_{ik};
+        # for a = b the entries commute, the pairs i < k count twice, and
+        # only i <= k is multiplied
+        if a == b:
+            half = [(powers[b][i][k], i < k) for i in range(self.n) for k in range(i, self.n)]
+            acc = _entry([{key: (2 * re, 2 * im) for key, (re, im) in x.items()} if twice else x
+                          for x, twice in half], [x for x, _twice in half], self._signs)
+        else:
+            acc = _entry(chain(*powers[a]), chain(*powers[b]), self._signs)
+        scale = (-1) ** b * self._denominator ** m
         return GrassmannElement._of({
             key: GaussianRational(Fraction(re, scale), Fraction(im, scale))
             for key, (re, im) in acc.items()})

@@ -99,9 +99,9 @@ FAULTS = {
         "series.py",
         "del products[shared + 1:]",
         "del products[shared:]",
-        frozenset({"Newton conversions invertible",
-                   "superdeterminant equals the signature class",
-                   "degree parts in Pontryagin classes"})),
+        frozenset({"L-polynomials against brute force", "Newton conversions invertible",
+                   "Whitney multiplicativity", "superdeterminant equals the signature class",
+                   "degree parts in Pontryagin classes", "concrete curvature cross-check"})),
     "packed-key-shift": Fault(
         "series.py",
         "shift = nvars.bit_length()",
@@ -122,13 +122,27 @@ FAULTS = {
         "out = out * d_coordinate(i)",
         "out = -(out * d_coordinate(i))",
         frozenset({"square of the supercharge"})),
-    # an odd power mirrored without its sign: the demo's R^3 is zero, and
-    # concrete and formal read the same traces, so only the 4-cycle's hand
-    # value sees it (the fault makes its Tr(R^4) zero and its sdet 1)
+    # an odd power mirrored without its sign: the traces read R^3 first in
+    # Tr(R^5) = Tr(R^3 R^2), which only the seeded 4x4 over 12 generators
+    # reaches; the fault makes that odd trace nonzero
     "odd-power-mirror-sign": Fault(
         "zeta.py",
         "{key: (-re, -im) for key, (re, im) in entry.items()} if odd_power else entry",
         "entry",
+        frozenset({"trace termination and antisymmetry"})),
+    # Tr(R^{2b}) = (-1)^b [sum_i (R^b)_ii^2 + 2 sum_{i<k} (R^b)_ik^2]: the
+    # off-diagonal pairs counted once, and the sign (-1)^b dropped; concrete
+    # and formal read the same traces, so only the hand values see them (the
+    # sign only in the two-pair cycle's Tr(R^2) against explicit products)
+    "trace-fold-doubling": Fault(
+        "zeta.py",
+        "(2 * re, 2 * im)",
+        "(re, im)",
+        frozenset({"concrete curvature cross-check"})),
+    "trace-fold-sign": Fault(
+        "zeta.py",
+        "(-1) ** b * self._denominator ** m",
+        "self._denominator ** m",
         frozenset({"concrete curvature cross-check"})),
     # the diagonal of an even power left unbuilt: the demo's R^3 is zero and
     # the 4-cycle's R^2 has a zero diagonal, so only the cycle with two
@@ -182,8 +196,8 @@ FAULTS = {
     # value is zero loses the whole formal substitution
     "zero-skip-everything": Fault(
         "series.py",
-        "if any(exps[i] for i in zeros):",
-        "if zeros:",
+        "if not any(e[i] for i in zeros)]",
+        "if not zeros]",
         frozenset({"concrete curvature cross-check"})),
     # the boundary table the superdeterminant and the linearization read
     "pa-boundary-eta2": Fault(
@@ -277,6 +291,13 @@ FAULTS = {
         "superspace.py",
         "(plus + minus - minus % 2) % 4",
         "plus % 4",
+        frozenset({"time reversal group relations"})),
+    # TimeReversal(3, b) folded to TimeReversal(0, b): no product of two
+    # generators reaches plus = 3, so only the faithfulness of T sees it
+    "normal-form-modulus": Fault(
+        "superspace.py",
+        "minus % 2) % 4, minus % 2",
+        "minus % 2) % 3, minus % 2",
         frozenset({"time reversal group relations"})),
     "right-d-sign": Fault(
         "superspace.py",

@@ -234,6 +234,24 @@ def test_evaluate_keeps_monomials_off_the_zero_values():
     assert poly.evaluate([GrassmannElement(), x, x * x]) == 2 + 3 * x * x
 
 
+def test_evaluate_walks_past_a_vanishing_prefix():
+    # ph_3^2 = 0 is a prefix that ph_3^2 ph_1 and ph_3^2 ph_1^2 share, and
+    # ph_2 = 0 is skipped: the prefix walk against every monomial multiplied out
+    K = 8
+    poly = cs.l_class_in_ph(K)
+    psi = [odd(f"psi{a}") for a in range(8)]
+    x = even("x")
+    grassmann = [x + psi[0] * psi[1], GrassmannElement(), psi[2] * psi[3], x * x,
+                 psi[4] * psi[5] + psi[6] * psi[7], 3 * x, GrassmannElement(), x]
+    rationals = [Fraction(1, 2), Fraction(0), Fraction(-2, 3), Fraction(5), Fraction(1, 7),
+                 Fraction(3), Fraction(0), Fraction(-1)]
+    for values, kind in ((grassmann, GrassmannElement), (rationals, Fraction)):
+        value = poly.evaluate(values)
+        assert type(value) is kind
+        assert value == _evaluate_every_monomial(poly, values)
+    assert not (psi[2] * psi[3]) * (psi[2] * psi[3])
+
+
 def test_substitute_needs_homogeneous_images():
     K = 3
     p = [GradedPolynomial.generator(i, K, "p") for i in range(1, K + 1)]

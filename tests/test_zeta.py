@@ -265,26 +265,42 @@ def test_concrete_sum_continues_past_a_zero_trace():
     assert zs.substitute_ph(zs.sdet_formal(4, 4), phs) == expected
 
 
+def _seeded_curvature(n, g, seed):
+    """An n x n curvature over g generators: each upper entry holds one or
+    two generator pairs, with coefficients in +-{1, 2}."""
+    rng = random.Random(seed)
+    psi = [odd(f"psi{a}") for a in range(g)]
+    rows = [[scalar(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = scalar(0)
+            for _ in range(1 + rng.randrange(2)):
+                a, b = rng.sample(range(g), 2)
+                w = w + rng.choice((-2, -1, 1, 2)) * psi[a] * psi[b]
+            rows[i][j], rows[j][i] = w, -w
+    return rows
+
+
 def test_traces_past_the_generator_bound_build_no_power(monkeypatch):
     # an 8x8 curvature over 10 generators: a term of R^m holds 2m of them,
     # so Tr(R^6), Tr(R^8) and Tr(R^10) vanish without a matrix product
-    rng = random.Random(8)
-    psi = [odd(f"psi{a}") for a in range(10)]
-    rows = [[scalar(0)] * 8 for _ in range(8)]
-    for i in range(8):
-        for j in range(i + 1, 8):
-            w = scalar(0)
-            for _ in range(1 + rng.randrange(2)):
-                a, b = rng.sample(range(10), 2)
-                w = w + rng.choice((-2, -1, 1, 2)) * psi[a] * psi[b]
-            rows[i][j], rows[j][i] = w, -w
-    matrix = zs.CurvatureMatrix(rows)
+    matrix = zs.CurvatureMatrix(_seeded_curvature(8, 10, 8))
     zs.sdet_concrete(matrix)
     calls = []
     original = zs._matmul
     monkeypatch.setattr(zs, "_matmul", lambda *args: calls.append(None) or original(*args))
     assert all(zs.curvature_to_ph(matrix, k).is_zero() for k in range(3, 6))
     assert not calls
+
+
+def test_an_even_trace_builds_half_its_powers():
+    # Tr(R^{2k}) = Tr(R^k R^k): the powers R^0..R^k are built, not R^{2k-1}
+    rows = _seeded_curvature(6, 12, 7)
+    for k in (1, 2, 3):
+        matrix = zs.CurvatureMatrix(rows)
+        assert matrix._generators == 12
+        assert not matrix.scaled_trace(k).is_zero()
+        assert len(matrix._powers) == k + 1
 
 
 def test_concrete_pp_sector():
@@ -387,9 +403,19 @@ def _four_pair_block():
     return [[scalar(0), w], [-w, scalar(0)]], 8, list(range(10, 0, -1))
 
 
+def _sixteen_generator_triangle():
+    # a 3x3 over the pairing of 16 generators, each entry a sum of all eight
+    # pairs: R^8 survives, so the traces read the odd power R^3 and fold R^4
+    pairs = [odd(f"psi{a}") * odd(f"psi{a + 1}") for a in range(0, 16, 2)]
+    x, y, z = (sum((c * p for c, p in zip(coefficients, pairs)), scalar(0))
+               for coefficients in ([1] * 8, range(1, 9), [(-1) ** a for a in range(8)]))
+    return [[scalar(0), x, y], [-x, scalar(0), z], [-y, -z, scalar(0)]], 16, list(range(1, 19))
+
+
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(curvatures())
 @example(_four_pair_block())
+@example(_sixteen_generator_triangle())
 @example((_four_cycle(), 8, list(range(1, 11))))
 def test_matrix_power_trace_matches_repeated_products(case):
     rows, g, orders = case
