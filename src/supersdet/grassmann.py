@@ -124,10 +124,12 @@ class GrassmannElement:
         return GrassmannElement.coerce(other) - self
 
     def __mul__(self, other: Coercible) -> "GrassmannElement":
-        if not isinstance(other, GrassmannElement):
-            return GrassmannElement._of(terms.scale(self.terms, GaussianRational.coerce(other)))
-        return GrassmannElement._of(
-            terms.product(self.terms.items(), other.terms.items(), _combine))
+        if isinstance(other, GrassmannElement):
+            return GrassmannElement._of(
+                terms.product(self.terms.items(), other.terms.items(), _combine))
+        if not isinstance(other, (int, Fraction, GaussianRational)):
+            return NotImplemented
+        return GrassmannElement._of(terms.scale(self.terms, other))
 
     __rmul__ = __mul__
 

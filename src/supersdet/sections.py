@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
 from . import terms
-from .gaussian import GaussianRational, ScalarLike, _of
+from .gaussian import GaussianRational, I, ScalarLike
 from .grassmann import EvenMono, GrassmannElement, TermKey, bit, even, odd, scalar, sign
 
 R = "r"
@@ -118,7 +118,7 @@ def apply_Q(s: GrassmannElement) -> GrassmannElement:
         weight = (mask.bit_count() - 2 * q) * sign(rho, mask)
         if weight:
             key = (mask | rho, _with_r_power(even_part, q - 1))
-            out[key] = _of(-c.im * weight, c.re * weight)  # i * weight * c
+            out[key] = c * weight * I
     return GrassmannElement._of(out) - d(s)
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
-from .gaussian import GaussianRational
+from .gaussian import from_parts, parts
 from .grassmann import GrassmannElement, _mul_even, even, odd, scalar, sign
 from .series import (
     GradedPolynomial,
@@ -113,24 +113,25 @@ class CurvatureMatrix:
 
     The powers of R are built in a kernel private to this class, on the
     keys of the GrassmannElement entries and with their sign rule, and a
-    trace of R^m reads the powers up to R^{ceil(m/2)} only.  The
-    denominators of all Q(i) coefficients are cleared once, R = R_int / d,
-    so an entry is a dict {(mask, even monomial): (re, im)} over the
-    Gaussian integers; a trace is divided by d^m when it leaves the kernel.
+    trace of R^m reads the powers up to R^{ceil(m/2)} only.  The kernel
+    crosses into and out of Q(i) only through gaussian's two boundary
+    helpers: `parts` reads each coefficient as (a + b i)/d, the
+    denominators are cleared once, R = R_int / d over their lcm d, so an
+    entry is a dict {(mask, even monomial): (re, im)} over the Gaussian
+    integers; a trace coefficient leaves through `from_parts`, over d^m.
     The entries are checked in this form: antisymmetric, nilpotent (no key
     has mask 0) and even (every mask has an even bit count).
     """
 
     def __init__(self, entries: Sequence[Sequence[GrassmannElement]]):
         n = len(entries)
-        rows = [[GrassmannElement.coerce(e).terms for e in row] for row in entries]
+        rows = [[{key: parts(c) for key, c in GrassmannElement.coerce(e).terms.items()}
+                 for e in row] for row in entries]
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        d = math.lcm(*(part.denominator for row in rows for e in row
-                       for c in e.values() for part in (c.re, c.im)))
-        R = tuple(tuple({key: (c.re.numerator * (d // c.re.denominator),
-                               c.im.numerator * (d // c.im.denominator))
-                         for key, c in e.items()} for e in row) for row in rows)
+        d = math.lcm(*(den for row in rows for e in row for _re, _im, den in e.values()))
+        R = tuple(tuple({key: (re * (d // den), im * (d // den))
+                         for key, (re, im, den) in e.items()} for e in row) for row in rows)
         union = 0
         for i, row in enumerate(R):
             for j, entry in enumerate(row):
@@ -179,9 +180,8 @@ class CurvatureMatrix:
         else:
             acc = _entry(chain(*powers[a]), chain(*powers[b]), self._signs)
         scale = (-1) ** b * self._denominator ** m
-        return GrassmannElement._of({
-            key: GaussianRational(Fraction(re, scale), Fraction(im, scale))
-            for key, (re, im) in acc.items()})
+        return GrassmannElement._of({key: from_parts(re, im, scale)
+                                     for key, (re, im) in acc.items()})
 
     def scaled_trace(self, k: int) -> GrassmannElement:
         """(i r)^{2k} Tr(R^{2k}), an even Grassmann element with r-powers.
