@@ -1,6 +1,8 @@
 """Exact power-series engine: Bernoulli numbers, even zeta values, the
-hyperbolic characteristic series, the Newton conversions between power sums
-and Pontryagin classes, and the signature class `l_class` they combine into.
+hyperbolic characteristic series, and the multiplicative sequences
+exp(sum_k c_k s_k) in the power sums s_k of the squared roots, written in the
+Pontryagin classes p or the Pontryagin-character variables ph: the signature
+class in either basis and the Newton conversions between the two.
 
 All arithmetic is exact.  Coefficients are rationals; GradedPolynomial.exp
 and .substitute clear them to integer numerators over one denominator per
@@ -9,12 +11,10 @@ coefficient.  pi never enters: the regularized determinants need only the
 rationals zeta(2k)/(2 pi i)^{2k} = -B_{2k}/(2 (2k)!) and their odd-mode
 counterparts, which come from the Bernoulli numbers.
 
-Root-variable convention.  The characteristic series of the signature genus
-is carried in two equivalent normalizations: `l_series` expands
-(x/2)/tanh(x/2), the form matched by the exponential product formulas, while
-the signature class `l_class` is built from the same series with the root
-doubled, x/tanh(x), so that evaluation against integral Pontryagin numbers
-returns the signature (L_1 = p_1/3 and so on).
+Root-variable convention.  `l_series` expands (x/2)/tanh(x/2), the form
+matched by the exponential product formulas; the signature class takes the
+same series with the root doubled, x/tanh(x), so that evaluation against
+integral Pontryagin numbers returns the signature (L_1 = p_1/3 and so on).
 """
 
 from __future__ import annotations
@@ -416,8 +416,8 @@ def _from_pieces(nvars: int, basis: str, pieces: List[_Piece], dens: List[int]) 
 
 
 # ---------------------------------------------------------------------------
-# Newton identities: power sums <-> elementary symmetric functions, with the
-# power sums s_k = (2k)! ph_k
+# multiplicative sequences exp(sum_k c_k s_k), s_k the k-th power sum of the
+# squared roots: (2k)! ph_k, or Newton's polynomial in the p_i
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -433,29 +433,33 @@ def power_sum_in_elementary(k: int, nvars: int) -> GradedPolynomial:
     return acc
 
 
+def _power_sums_in_ph(K: int) -> List[GradedPolynomial]:
+    return [math.factorial(2 * k) * GradedPolynomial.generator(k, K, "ph") for k in range(1, K + 1)]
+
+
+def _exp_of_power_sums(coefficients: Sequence[Fraction],
+                       power_sums: Sequence[GradedPolynomial]) -> GradedPolynomial:
+    """The multiplicative sequence exp(sum_k c_k s_k), c_k = coefficients[k-1]
+    and s_k = power_sums[k-1] in the basis of the result (Hirzebruch;
+    Milnor-Stasheff, Characteristic Classes, 19)."""
+    return sum((c * s for c, s in zip(coefficients, power_sums)),
+               GradedPolynomial(power_sums[0].nvars, power_sums[0].basis)).exp()
+
+
 @lru_cache(maxsize=None)
-def elementary_in_ph(k: int, nvars: int) -> GradedPolynomial:
-    """The k-th elementary symmetric function in the basis "ph", via
-    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} (2i)! ph_i and e_0 = 1."""
-    if k < 0 or k > nvars:
-        raise ValueError("k out of range")
-    if k == 0:
-        return GradedPolynomial.one(nvars, "ph")
-    acc = GradedPolynomial(nvars, "ph")
-    for i in range(1, k + 1):
-        s_i = Fraction((-1) ** (i - 1) * math.factorial(2 * i)) \
-            * GradedPolynomial.generator(i, nvars, "ph")
-        acc = acc + elementary_in_ph(k - i, nvars) * s_i
-    return Fraction(1, k) * acc
+def _elementary_in_ph(K: int) -> Tuple[GradedPolynomial, ...]:
+    """e_1..e_K in the basis "ph": the weight parts of prod_j (1 + y_j)."""
+    total = _exp_of_power_sums([Fraction((-1) ** (k - 1), k) for k in range(1, K + 1)],
+                               _power_sums_in_ph(K))
+    return tuple(total.weight_component(k) for k in range(1, K + 1))
 
 
 def pontryagin_to_powersums(poly: GradedPolynomial) -> GradedPolynomial:
     """Map a p-basis polynomial to the ph-basis, substituting each p_i by its
-    Newton expression in the scaled power sums s_k = (2k)! ph_k."""
+    Newton expression e_i in the scaled power sums s_k = (2k)! ph_k."""
     if poly.basis != "p":
         raise ValueError("expected a p-basis polynomial")
-    K = poly.nvars
-    return poly.substitute([elementary_in_ph(i, K) for i in range(1, K + 1)])
+    return poly.substitute(_elementary_in_ph(poly.nvars))
 
 
 @lru_cache(maxsize=None)
@@ -473,20 +477,18 @@ def powersums_to_pontryagin(poly: GradedPolynomial) -> GradedPolynomial:
     return poly.substitute(_ph_in_elementary(poly.nvars))
 
 
-# ---------------------------------------------------------------------------
-# the signature class
-# ---------------------------------------------------------------------------
+def _l_log_coefficients(K: int) -> List[Fraction]:
+    """c_1..c_K, c_k the x^{2k}-coefficient of log(x/tanh x)."""
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    return list(l_series_doubled_root(2 * K).log().coeffs[2::2])
+
 
 def l_class(K: int) -> GradedPolynomial:
     """The total signature class 1 + L_1 + ... + L_K in the p-basis: the
-    product of x_j/tanh(x_j) over the roots, as exp(sum_k c_k s_k) with c_k
-    the x^{2k}-coefficient of log(x/tanh x) and s_k the k-th power sum of the
-    squared roots written in the elementary symmetric functions p_i."""
-    log_q = l_series_doubled_root(2 * K).log()
-    total_log = GradedPolynomial(K, "p")
-    for k in range(1, K + 1):
-        total_log = total_log + log_q.coefficient(2 * k) * power_sum_in_elementary(k, K)
-    return total_log.exp()
+    product of x_j/tanh(x_j) over the roots, with s_k in the p_i."""
+    return _exp_of_power_sums(_l_log_coefficients(K),
+                              [power_sum_in_elementary(k, K) for k in range(1, K + 1)])
 
 
 def l_polynomials(K: int) -> List[GradedPolynomial]:
@@ -498,9 +500,6 @@ def l_polynomials(K: int) -> List[GradedPolynomial]:
 
 
 def l_class_in_ph(K: int) -> GradedPolynomial:
-    """The total signature class rewritten in Pontryagin-character variables
-    through the Newton conversion; used as the comparison target for the
-    superdeterminant."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    return pontryagin_to_powersums(l_class(K))
+    """The total signature class with s_k = (2k)! ph_k: an exp of a linear form
+    in ph, as the superdeterminant is, and the comparison target for it."""
+    return _exp_of_power_sums(_l_log_coefficients(K), _power_sums_in_ph(K))

@@ -1,7 +1,9 @@
 """Byte pins for the sizes the benchmark digests do not reach: the canonical
 JSON of the L-class oracle at K = 14, 15 and 16, and `lpoly --k 16`.  The
-digests come from an all-Fraction exp and Newton substitution, so they hold
-the integer work format of series to the same bytes."""
+digests come from an all-Fraction exp and Newton substitution of the p-basis
+class, so they hold the integer work format of series, and the oracle's own
+exp in the ph basis, to the same bytes; at K = 16 the Newton route is checked
+against its pin too."""
 
 import hashlib
 import json
@@ -24,10 +26,17 @@ def _canonical(payload) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+def _digest(poly) -> str:
+    return hashlib.sha256(_canonical(poly.to_json())).hexdigest()
+
+
 @pytest.mark.parametrize("K", sorted(L_CLASS_IN_PH))
 def test_l_class_in_ph_digest(K):
-    digest = hashlib.sha256(_canonical(cs.l_class_in_ph(K).to_json())).hexdigest()
-    assert digest == L_CLASS_IN_PH[K]
+    assert _digest(cs.l_class_in_ph(K)) == L_CLASS_IN_PH[K]
+
+
+def test_newton_route_digest_at_k_16():
+    assert _digest(cs.pontryagin_to_powersums(cs.l_class(16))) == L_CLASS_IN_PH[16]
 
 
 def test_lpoly_16_digest(capsys):

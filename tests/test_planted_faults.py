@@ -66,20 +66,25 @@ FAULTS = {
         'return f.derivative_odd("theta1").derivative_odd("theta2")',
         'return f.derivative_odd("theta2").derivative_odd("theta1")',
         frozenset({"Berezin integral normalization", "linearized action expansion"})),
+    # the log(x/tanh x) coefficients, which the signature class reads in
+    # either basis
     "l-class-log-sign": Fault(
         "series.py",
-        "total_log = total_log + log_q.coefficient(2 * k)",
-        "total_log = total_log - log_q.coefficient(2 * k)",
+        "return list(l_series_doubled_root(2 * K).log().coeffs[2::2])",
+        "return [-c for c in l_series_doubled_root(2 * K).log().coeffs[2::2]]",
         frozenset({"L-polynomials against brute force",
                    "superdeterminant equals the signature class"})),
-    # exp is shared by sdet and the oracle, and Newton is a ring map, so an
-    # exp with a wrong recurrence coefficient keeps sdet == L: only checks
-    # against a brute-force product see it, among them sdet at random roots
+    # exp is shared by sdet and the oracle, so an exp with a wrong recurrence
+    # coefficient keeps sdet == L: the checks against a brute-force product
+    # see it, among them sdet at random roots, and the Newton round trip,
+    # since the images e_i(ph) are weight parts of an exp and the inverse
+    # images ph_k(p) are not
     "exp-recurrence-scale": Fault(
         "series.py",
         "lambda j, w: j * math.perm(w - 1, j - 1)",
         "lambda j, w: math.perm(w - 1, j - 1)",
-        frozenset({"L-polynomials against brute force", "degree parts in Pontryagin classes",
+        frozenset({"L-polynomials against brute force", "Newton conversions invertible",
+                   "degree parts in Pontryagin classes",
                    "superdeterminant equals the signature class"})),
     "exp-piece-denominator": Fault(
         "series.py",
@@ -88,13 +93,12 @@ FAULTS = {
         frozenset({"L-polynomials against brute force", "Whitney multiplicativity",
                    "superdeterminant equals the signature class",
                    "degree parts in Pontryagin classes", "concrete curvature cross-check"})),
+    # the oracle substitutes nothing, so sdet == L cannot see it
     "substitute-image-scale": Fault(
         "series.py",
         "[d * D ** w for w",
         "[d * D for w",
-        frozenset({"Newton conversions invertible",
-                   "superdeterminant equals the signature class",
-                   "degree parts in Pontryagin classes"})),
+        frozenset({"Newton conversions invertible", "degree parts in Pontryagin classes"})),
     "substitute-prefix-reuse": Fault(
         "series.py",
         "del products[shared + 1:]",
@@ -221,12 +225,21 @@ FAULTS = {
                    "log of the characteristic series", "inverse-power mode traces",
                    "superdeterminant equals the signature class",
                    "degree parts in Pontryagin classes", "concrete curvature cross-check"})),
+    # s_k = (2k)! ph_k, read by l_class_in_ph and the images e_i(ph)
     "newton-power-sum-scale": Fault(
         "series.py",
-        "math.factorial(2 * i)",
-        "math.factorial(2 * i - 1)",
+        'math.factorial(2 * k) * GradedPolynomial.generator(k, K, "ph")',
+        'math.factorial(2 * k - 1) * GradedPolynomial.generator(k, K, "ph")',
         frozenset({"Newton conversions invertible",
                    "superdeterminant equals the signature class"})),
+    # log(1 + y) read as -log(1 - y) turns the images e_i(ph) into the
+    # complete symmetric h_i(ph); only the p -> ph direction reads them, and
+    # the oracle converts nothing
+    "elementary-log-sign": Fault(
+        "series.py",
+        "Fraction((-1) ** (k - 1), k)",
+        "Fraction(1, k)",
+        frozenset({"Newton conversions invertible"})),
     # the demo has ph_2 = 0, so a skip that drops every monomial once any
     # value is zero loses the whole formal substitution
     "zero-skip-everything": Fault(

@@ -290,6 +290,28 @@ def test_power_sums_in_elementary():
     assert cs.power_sum_in_elementary(1, K) == p1
     assert cs.power_sum_in_elementary(2, K) == p1 * p1 - 2 * p2
     assert cs.power_sum_in_elementary(3, K) == p1 * p1 * p1 - 3 * p1 * p2 + 3 * p3
+    # and back: e_1 = s_1, e_2 = (s_1^2 - s_2)/2, e_3 = (s_1^3 - 3 s_1 s_2 + 2 s_3)/6
+    # at s_k = (2k)! ph_k
+    ph1, ph2, ph3 = (GradedPolynomial.generator(i, K, "ph") for i in range(1, K + 1))
+    to_ph = cs.pontryagin_to_powersums
+    assert to_ph(p1) == 2 * ph1
+    assert to_ph(p2) == 2 * ph1 * ph1 - 12 * ph2
+    assert to_ph(p3) == Fraction(4, 3) * ph1 * ph1 * ph1 - 24 * ph1 * ph2 + 240 * ph3
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_the_two_bases_agree(K):
+    # l_class and l_class_in_ph exponentiate their own power sums; Newton
+    # carries each to the other
+    assert cs.pontryagin_to_powersums(cs.l_class(K)) == cs.l_class_in_ph(K)
+    assert cs.powersums_to_pontryagin(cs.l_class_in_ph(K)) == cs.l_class(K)
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_signature_class_needs_a_positive_k(K):
+    for build in (cs.l_class, cs.l_polynomials, cs.l_class_in_ph):
+        with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+            build(K)
 
 
 def test_l_polynomial_p_k_coefficient_closed_form():
