@@ -166,16 +166,14 @@ Cocycle = List[Tuple[TwoPiPower, GrassmannElement]]
 def to_cocycle(s: GrassmannElement) -> Cocycle:
     """The closed-form representative of a supersymmetric section: the
     degree-k piece r^{k/2} (x) omega maps to (2 pi)^{-k/2} omega.  Faults on
-    rho-dependence (sections of the vacua stack are rho-independent), on
-    failing Q-closedness, and on r-exponents not matching deg/2."""
+    rho-dependence (sections of the vacua stack are rho-independent) and on
+    failing Q-closedness.  A term r^q omega of degree k != 2q fails Q: its
+    weight term i (k - 2q) r^{q-1} rho omega has a key of its own, and d adds
+    no rho."""
     if RHO in s.odd_generators():
         raise ValueError("sections over the vacua carry no rho-dependence")
     if not is_supersymmetric(s):
         raise ValueError("section is not supersymmetric")
-    for (mask, even_part) in s.terms:
-        k, q = mask.bit_count(), _r_power(even_part)
-        if q != Fraction(k, 2):
-            raise ValueError(f"term of degree {k} carries r^{q}, expected r^{Fraction(k, 2)}")
     return [(TwoPiPower(Fraction(1), -Fraction(k, 2)),
              scale_r(degree_component(s, k), -Fraction(k, 2)))
             for k in sorted(degrees(s))]
