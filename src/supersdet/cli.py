@@ -112,8 +112,6 @@ def _cmd_lgenus(args) -> int:
     from . import manifolds as mf
     try:
         data = _load_manifold_arg(args.manifold)
-        if isinstance(data, mf.CohomologyModel):
-            data = data.pontryagin_data()
         genus = mf.l_genus(data)
     except (mf.ManifoldParseError, mf.ManifoldValidationError) as exc:
         raise SystemExit(f"supersdet: {exc}") from None

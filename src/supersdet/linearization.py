@@ -189,7 +189,7 @@ def derive_boundary_conditions() -> Dict[str, BoundaryCondition]:
         bc = {coeff: BoundaryCondition.PERIODIC,
               -coeff: BoundaryCondition.ANTIPERIODIC}.get(twisted.get(key))
         if bc is None:
-            raise AssertionError(f"holonomy acts on {base} by neither +1 nor -1")
+            raise RuntimeError(f"holonomy acts on {base} by neither +1 nor -1")
         out[base] = bc
     return out
 

@@ -14,10 +14,10 @@ import re
 from fractions import Fraction
 from importlib import resources
 from itertools import product as iter_product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import terms
-from .series import l_class, l_polynomials
+from .series import GradedPolynomial, l_class
 
 Partition = Tuple[int, ...]  # parts sorted descending
 
@@ -75,6 +75,12 @@ def _coerce_number(value, path: str) -> Fraction:
     raise ManifoldParseError(f"{path}: expected an integer or {{num, den}}")
 
 
+def _weight(name: str, dimension: int) -> int:
+    if dimension % 4 != 0 or dimension < 0:
+        raise ManifoldParseError(f"{name}: dimension must be a nonnegative multiple of 4")
+    return dimension // 4
+
+
 class PontryaginData(terms.Record):
     """Pontryagin numbers of a closed oriented 4k-manifold: one for every
     partition of dimension/4, as the pontryagin_numbers of its document."""
@@ -85,10 +91,7 @@ class PontryaginData(terms.Record):
                  signature: Fraction):
         self.name, self.dimension, self.numbers, self.signature = \
             name, dimension, numbers, signature
-        if self.dimension % 4 != 0 or self.dimension < 0:
-            raise ManifoldParseError(
-                f"{self.name}: dimension must be a nonnegative multiple of 4")
-        w = self.weight
+        w = _weight(self.name, self.dimension)
         for partition in self.numbers:
             if sum(partition) != w:
                 raise ManifoldParseError(
@@ -98,32 +101,28 @@ class PontryaginData(terms.Record):
                 raise ManifoldParseError("document.pontryagin_numbers: "
                                          f"missing {partition_key(partition) or '1'}")
 
-    @property
-    def weight(self) -> int:
-        return self.dimension // 4
 
-
-def l_genus(M: PontryaginData) -> Fraction:
-    """Evaluate the weight-k signature polynomial on the Pontryagin numbers."""
-    k = M.weight
-    if k == 0:
-        # the point: the genus is the pairing of 1 with the fundamental class
-        return M.numbers[()]
-    poly = l_polynomials(k)[k - 1]
+def _pair(poly: GradedPolynomial, number: Callable[[Partition], Fraction]) -> Fraction:
+    """The sum of c * number(lambda) over the monomials c p^e of a polynomial
+    in the Pontryagin classes, lambda the partition of e."""
     total = Fraction(0)
     for exps, coeff in poly.coeffs.items():
-        partition: List[int] = []
-        for i, e in enumerate(exps):
-            partition.extend([i + 1] * e)
-        total += coeff * M.numbers[tuple(sorted(partition, reverse=True))]
+        partition = tuple(j for j in range(len(exps), 0, -1) for _ in range(exps[j - 1]))
+        total += coeff * number(partition)
     return total
+
+
+def l_genus(M: ManifoldLike) -> Fraction:
+    """Pair the signature polynomial L_k with the Pontryagin numbers of a 4k-manifold."""
+    k = _weight(M.name, M.dimension)
+    return _pair(l_class(max(1, k)).weight_component(k), M.numbers.__getitem__)
 
 
 def product_manifold(M: PontryaginData, N: PontryaginData) -> PontryaginData:
     """Pontryagin numbers of a product from those of the factors, through the
     Whitney formula p(M x N) = p(M) p(N) and the bidegree splitting of the
     fundamental class."""
-    wm, wn = M.weight, N.weight
+    wm, wn = M.dimension // 4, N.dimension // 4
     w = wm + wn
     numbers: Dict[Partition, Fraction] = {}
     for partition in partitions_of(w):
@@ -170,7 +169,9 @@ class CohomologyModel:
     """A finite graded-commutative ring with a top-degree functional and
     distinguished Pontryagin classes.  Validation checks grading of the
     structure constants, graded commutativity, associativity on all basis
-    triples, and that the functional is supported in the top degree."""
+    triples, and that the functional is supported in the top degree.  Then
+    `numbers` holds the ring's Pontryagin numbers, which shipped ones must
+    equal, or None in a dimension not divisible by 4."""
 
     def __init__(self, name: str, dimension: int,
                  basis: Sequence[Tuple[str, int]],
@@ -248,8 +249,12 @@ class CohomologyModel:
         """Pairing with the fundamental class: the top-degree coefficient."""
         return a.get(self.fundamental, Fraction(0))
 
-    def pontryagin_class(self, k: int) -> Element:
-        return dict(self.pontryagin_classes.get(k, {}))
+    def pontryagin_monomial(self, partition: Partition) -> Element:
+        """p_lambda: the product of the Pontryagin classes p_j, j in lambda."""
+        out = self.one()
+        for part in partition:
+            out = self.multiply(out, self.pontryagin_classes.get(part, {}))
+        return out
 
     # -- validation
 
@@ -257,6 +262,10 @@ class CohomologyModel:
         names = [n for n, _d in self.basis]
         if len(set(names)) != len(names):
             raise ManifoldParseError(f"{self.name}: a basis name repeats")
+        for name, degree in self.basis:
+            if not 0 <= degree <= self.dimension:
+                raise ManifoldValidationError(f"{self.name}: basis class {name!r} has "
+                                              f"degree {degree} outside 0..{self.dimension}")
         top = self.degree.get(self.fundamental)
         if top != self.dimension:
             raise ManifoldValidationError(
@@ -294,38 +303,20 @@ class CohomologyModel:
                 if c and self.degree.get(z) != 4 * k:
                     raise ManifoldValidationError(
                         f"{self.name}: p{k} has a component of wrong degree at {z}")
-        if self.numbers is not None and self.numbers != self.pontryagin_data().numbers:
-            raise ManifoldValidationError(
-                f"{self.name}: shipped Pontryagin numbers disagree with the ring")
-
-    def pontryagin_data(self) -> PontryaginData:
-        """Pontryagin numbers computed inside the ring."""
-        w = self.dimension // 4
-        numbers: Dict[Partition, Fraction] = {}
-        for partition in partitions_of(w):
-            cls = self.one()
-            for part in partition:
-                cls = self.multiply(cls, self.pontryagin_class(part))
-            numbers[partition] = self.integrate(cls)
-        return PontryaginData(self.name, self.dimension, numbers, self.signature)
-
-
-def total_l_class(M: CohomologyModel) -> Element:
-    """1 + L_1(p(M)) + L_2(p(M)) + ... evaluated in the ring."""
-    out: Element = {}
-    for exps, coeff in l_class(max(1, M.dimension // 4)).coeffs.items():
-        term = M.one()
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                term = M.multiply(term, M.pontryagin_class(i + 1))
-        out = terms.add(out, terms.scale(term, coeff))
-    return out
+        if self.numbers is not None or self.dimension % 4 == 0:
+            numbers = {partition: self.integrate(self.pontryagin_monomial(partition))
+                       for partition in partitions_of(_weight(self.name, self.dimension))}
+            if self.numbers is not None and self.numbers != numbers:
+                raise ManifoldValidationError(
+                    f"{self.name}: shipped Pontryagin numbers disagree with the ring")
+            self.numbers = numbers
 
 
 def pushforward(s: Element, M: CohomologyModel) -> Fraction:
     """Integration against the signature-class-corrected volume:
     < s . L(TX), [X] >.  On the unit it returns the signature genus."""
-    return M.integrate(M.multiply(s, total_l_class(M)))
+    return _pair(l_class(max(1, M.dimension // 4)),
+                 lambda partition: M.integrate(M.multiply(s, M.pontryagin_monomial(partition))))
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ def induced_base_map(translation: Tuple[G, G], twist: TimeReversal,
 
     # commutation of the square, verified on the generic point
     if not (the_map(proj_R(p, R)) - rhs).is_zero():
-        raise AssertionError("induced base map failed to close the square")
+        raise RuntimeError("induced base map failed to close the square")
     return the_map, descent.generator
 
 

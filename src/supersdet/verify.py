@@ -709,7 +709,7 @@ def run_suite(name: str) -> List[CheckResult]:
         try:
             detail = func() or ""
             results.append(CheckResult(name, check_name, True, detail))
-        except AssertionError as exc:
+        except IdentityFailure as exc:
             results.append(CheckResult(name, check_name, False, str(exc)))
         except Exception as exc:  # a crashed check is a failed check, not a usage error
             results.append(CheckResult(name, check_name, False,

@@ -146,6 +146,43 @@ def test_malformed_manifold_input_is_a_usage_error(capsys, tmp_path, document, a
     assert out == "" and err.startswith("supersdet: ")
 
 
+def _ring_of_dimension_6(**extra):
+    return {"name": "six", "dimension": 6, "kind": "cohomology_model", "signature": 0,
+            "basis": [{"name": "1", "degree": 0}, {"name": "x", "degree": 2},
+                      {"name": "y", "degree": 4}, {"name": "t", "degree": 6}],
+            "products": [{"left": "x", "right": "x", "result": [{"basis": "y", "coeff": 1}]},
+                         {"left": "x", "right": "y", "result": [{"basis": "t", "coeff": 1}]}],
+            "fundamental": "t", "pontryagin_classes": {"p1": [{"basis": "y", "coeff": 4}]},
+            **extra}
+
+
+def _classes_outside_degrees_0_to_4(document):
+    document["basis"] += [{"name": "a", "degree": -2}, {"name": "b", "degree": 6}]
+    document["products"].append(
+        {"left": "a", "right": "b", "result": [{"basis": "h2", "coeff": 1}]})
+
+
+NOT_4K = "supersdet: six: dimension must be a nonnegative multiple of 4\n"
+
+
+@pytest.mark.parametrize("document, argv, expected", [
+    (_ring_of_dimension_6(), ["lgenus"], (2, "", NOT_4K)),
+    # the signature class has no part in degree 6: every pushforward of 1 is 0
+    (_ring_of_dimension_6(), ["pushforward", "--class", "1"],
+     (0, "pushforward of 1 over six = 0\n", "")),
+    # shipped numbers need a 4k-manifold, whichever subcommand loads them
+    (_ring_of_dimension_6(pontryagin_numbers={"p1": 1}), ["pushforward", "--class", "1"],
+     (2, "", NOT_4K)),
+    (_cp2_with(_classes_outside_degrees_0_to_4), ["pushforward", "--class", "a*b + 1"],
+     (2, "", "supersdet: cp2: basis class 'a' has degree -2 outside 0..4\n")),
+], ids=["lgenus-dimension-6", "pushforward-dimension-6", "pushforward-dimension-6-numbers",
+        "pushforward-degree-outside-ring"])
+def test_ring_dimension_and_degree_range(capsys, tmp_path, document, argv, expected):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(document))
+    assert run_cli(capsys, *argv, "--manifold", str(path)) == expected
+
+
 @pytest.mark.parametrize("document, path", [
     (_cp2_with(lambda d: d["basis"].append({"name": "h", "degree": 2})),
      "document.basis[3].name"),

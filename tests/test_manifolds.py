@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -25,11 +26,9 @@ EXPECTED = {
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_builtin_l_genus_equals_signature(name):
     manifold = mf.builtin(name)
-    data = manifold.pontryagin_data() if isinstance(manifold, mf.CohomologyModel) \
-        else manifold
-    genus = mf.l_genus(data)
+    genus = mf.l_genus(manifold)
     assert genus == EXPECTED[name]
-    assert genus == data.signature
+    assert genus == manifold.signature
 
 
 def test_builtin_ring_models_validate():
@@ -41,9 +40,9 @@ def test_builtin_ring_models_validate():
 
 
 def test_specific_pontryagin_numbers():
-    cp2 = mf.builtin("cp2").pontryagin_data()
+    cp2 = mf.builtin("cp2")
     assert cp2.numbers == {(1,): Fraction(3)}
-    hp2 = mf.builtin("hp2").pontryagin_data()
+    hp2 = mf.builtin("hp2")
     assert hp2.numbers == {(2,): Fraction(7), (1, 1): Fraction(4)}
     assert mf.l_genus(hp2) == Fraction(7 * 7 - 4, 45)
 
@@ -63,7 +62,7 @@ def test_pushforward_examples():
 @pytest.mark.parametrize("name", ["cp2", "cp4", "hp2", "k3", "cp2xcp2"])
 def test_pushforward_of_one_is_the_genus(name):
     model = mf.builtin(name)
-    assert mf.pushforward(model.one(), model) == mf.l_genus(model.pontryagin_data())
+    assert mf.pushforward(model.one(), model) == mf.l_genus(model)
 
 
 def test_pushforward_lowers_degree():
@@ -76,13 +75,44 @@ def test_pushforward_lowers_degree():
     assert mf.pushforward(model.element("h2"), model) == Fraction(5, 3)
 
 
+def _hand_written_l_class(model):
+    """The weight parts L_0 = 1, L_1 = p1/3, L_2 = (7 p2 - p1^2)/45 in the ring."""
+    p1 = model.pontryagin_classes.get(1, {})
+    p2 = model.pontryagin_classes.get(2, {})
+    return [model.one(), terms.scale(p1, Fraction(1, 3)),
+            terms.add(terms.scale(p2, Fraction(7, 45)),
+                      terms.scale(model.multiply(p1, p1), Fraction(-1, 45)))]
+
+
+@pytest.mark.parametrize("name", ["cp2", "cp4", "hp2", "k3", "cp2xcp2"])
+def test_pushforward_pairs_each_degree_with_its_l_weight(name):
+    # <s . L, [M]> = sum over w of <s_{dim - 4w} . L_w, [M]>, with L written by hand
+    model = mf.builtin(name)
+    L = _hand_written_l_class(model)
+    rng = random.Random(f"pushforward-{name}")
+
+    def random_class():
+        return {b: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for b, _d in model.basis}
+
+    for trial in range(10):
+        s, t = random_class(), random_class()
+        expected = sum(model.integrate(model.multiply(
+            {b: c for b, c in s.items() if model.degree[b] == model.dimension - 4 * w}, L[w]))
+            for w in range(model.dimension // 4 + 1))
+        assert mf.pushforward(s, model) == expected, (name, trial)
+        a, b = Fraction(rng.randint(-9, 9), 7), Fraction(rng.randint(-9, 9), 5)
+        combination = terms.add(terms.scale(s, a), terms.scale(t, b))
+        assert mf.pushforward(combination, model) == \
+            a * mf.pushforward(s, model) + b * mf.pushforward(t, model), (name, trial)
+
+
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
 
 def test_product_manifold_matches_builtin():
-    k3 = mf.builtin("k3").pontryagin_data()
-    cp2 = mf.builtin("cp2").pontryagin_data()
+    k3 = mf.builtin("k3")
+    cp2 = mf.builtin("cp2")
     prod = mf.product_manifold(k3, cp2)
     assert prod.numbers == mf.builtin("k3xcp2").numbers
     assert prod.signature == -16
@@ -90,11 +120,11 @@ def test_product_manifold_matches_builtin():
 
 
 def test_product_multiplicativity():
-    cp2 = mf.builtin("cp2").pontryagin_data()
+    cp2 = mf.builtin("cp2")
     prod = mf.product_manifold(cp2, cp2)
     assert mf.l_genus(prod) == mf.l_genus(cp2) * mf.l_genus(cp2) == 1
-    k3 = mf.builtin("k3").pontryagin_data()
-    hp2 = mf.builtin("hp2").pontryagin_data()
+    k3 = mf.builtin("k3")
+    hp2 = mf.builtin("hp2")
     mixed = mf.product_manifold(k3, hp2)
     assert mf.l_genus(mixed) == -16
 
@@ -165,6 +195,17 @@ def test_missing_partition_is_rejected():
         mf.PontryaginData("point", 0, {}, Fraction(1))
 
 
+@pytest.mark.parametrize("degree", [-2, 6])
+def test_basis_degree_outside_the_ring_is_rejected(degree):
+    # a class outside degrees 0..dimension would pair with the fundamental class
+    # through products that no manifold has
+    document = _cp2_document()
+    document["basis"].append({"name": "a", "degree": degree})
+    with pytest.raises(mf.ManifoldValidationError,
+                       match=f"cp2: basis class 'a' has degree {degree} outside 0\\.\\.4"):
+        mf.load_manifold(document)
+
+
 def test_shipped_numbers_must_match_ring():
     raw = json.loads(
         '{"name": "cp2", "dimension": 4, "kind": "cohomology_model", "signature": 1,'
@@ -232,7 +273,7 @@ def test_power_stops_at_the_first_zero_power(monkeypatch):
 def test_product_with_the_point():
     point = mf.PontryaginData("pt", 0, {(): Fraction(1)}, Fraction(1))
     assert mf.l_genus(point) == 1
-    cp2 = mf.builtin("cp2").pontryagin_data()
+    cp2 = mf.builtin("cp2")
     prod = mf.product_manifold(cp2, point)
     assert prod.numbers == cp2.numbers
     assert prod.signature == cp2.signature
@@ -254,6 +295,6 @@ def test_repeated_basis_coefficients_add():
     document = _cp2_document()
     document["pontryagin_classes"]["p1"] = [{"basis": "h2", "coeff": 1},
                                             {"basis": "h2", "coeff": 2}]
-    data = mf.load_manifold(document).pontryagin_data()
+    data = mf.load_manifold(document)
     assert data.numbers[(1,)] == 3
     assert mf.l_genus(data) == 1
