@@ -36,6 +36,17 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _printable(x: Fraction) -> Fraction:
+    """x, or a usage error when its numerator or denominator has more digits
+    than Python writes an integer as text (sys.get_int_max_str_digits): a
+    computed value too long to print is refused, not a crash."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(abs(x.numerator), x.denominator) >= 10 ** limit:
+        raise SystemExit(f"supersdet: the result has more than {limit} digits, "
+                         "Python's limit for writing an integer")
+    return x
+
+
 def _fraction_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
@@ -112,7 +123,7 @@ def _cmd_lgenus(args) -> int:
     from . import manifolds as mf
     try:
         data = _load_manifold_arg(args.manifold)
-        genus = mf.l_genus(data)
+        genus = _printable(mf.l_genus(data))
     except (mf.ManifoldParseError, mf.ManifoldValidationError) as exc:
         raise SystemExit(f"supersdet: {exc}") from None
     match = genus == data.signature
@@ -195,7 +206,7 @@ def _cmd_pushforward(args) -> int:
             raise SystemExit(
                 f"supersdet pushforward: manifold {manifold.name!r} has no ring model")
         element = mf.parse_class(getattr(args, "class_expr"), manifold)
-        value = mf.pushforward(element, manifold)
+        value = _printable(mf.pushforward(element, manifold))
     except (mf.ManifoldParseError, mf.ManifoldValidationError) as exc:
         raise SystemExit(f"supersdet: {exc}") from None
     payload = {
@@ -277,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stderr.write(exc.code + "\n")
             return 2
         raise
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"supersdet: {exc}\n")
         return 2
 

@@ -442,7 +442,13 @@ def builtin(name: str) -> ManifoldLike:
 
 def load_manifold_file(path: str) -> ManifoldLike:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_manifold(json.load(fh))
+        try:
+            document = json.load(fh)
+        except ValueError as exc:
+            # not UTF-8, not JSON, or an integer literal longer than Python
+            # converts from text (sys.get_int_max_str_digits)
+            raise ManifoldParseError(str(exc)) from None
+    return load_manifold(document)
 
 
 # ---------------------------------------------------------------------------

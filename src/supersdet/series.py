@@ -9,7 +9,15 @@ and .substitute clear them to integer numerators over one denominator per
 weight piece, with packed int monomial keys, and divide back once per result
 coefficient.  pi never enters: the regularized determinants need only the
 rationals zeta(2k)/(2 pi i)^{2k} = -B_{2k}/(2 (2k)!) and their odd-mode
-counterparts, which come from the Bernoulli numbers.
+counterparts, which come from the Bernoulli numbers.  Only ints and
+Fractions build a series or a polynomial; a float or a string is a TypeError.
+
+Tables that depend on the order alone are built once per process and shared:
+the Bernoulli numbers, the Newton images, the coefficients of log(x/tanh x)
+(`_l_log_coefficients`, a tuple) and the key packing of each number of
+generators (`_packing`, whose unpack keeps one exponent tuple per key).  A
+process that asks for the same order again reuses them; a one-shot CLI call
+gains nothing from them.
 
 Root-variable convention.  `l_series` expands (x/2)/tanh(x/2), the form
 matched by the exponential product formulas; the signature class takes the
@@ -66,6 +74,16 @@ def lambda_over_2pii(two_k: int) -> Fraction:
 # truncated univariate series
 # ---------------------------------------------------------------------------
 
+def _rational(c) -> Fraction:
+    """c as an exact rational: an int becomes a Fraction, and anything but an
+    int or a Fraction, a float or a string among them, is a TypeError."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"cannot coerce {c!r} into Q")
+
+
 class TruncatedSeries:
     """A univariate power series over Q, truncated at a fixed order.
 
@@ -76,7 +94,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction]):
-        self.coeffs: Tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
+        self.coeffs: Tuple[Fraction, ...] = tuple(_rational(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("series needs at least the constant term")
 
@@ -86,7 +104,7 @@ class TruncatedSeries:
 
     @staticmethod
     def from_function(term: Callable[[int], Fraction], order: int) -> "TruncatedSeries":
-        return TruncatedSeries([Fraction(term(k)) for k in range(order + 1)])
+        return TruncatedSeries([term(k) for k in range(order + 1)])
 
     def coefficient(self, k: int) -> Fraction:
         if k < 0 or k > self.order:
@@ -134,7 +152,7 @@ class TruncatedSeries:
 
     def rescale_root(self, c: Fraction) -> "TruncatedSeries":
         """Substitute x -> c x."""
-        c = Fraction(c)
+        c = _rational(c)
         return TruncatedSeries([self.coeffs[k] * c ** k for k in range(self.order + 1)])
 
 
@@ -194,7 +212,7 @@ class GradedPolynomial:
             for exps, c in coeffs.items():
                 if len(exps) != nvars:
                     raise ValueError("exponent vector length mismatch")
-                c = Fraction(c)
+                c = _rational(c)
                 if c and self.weight_of(exps) <= nvars:
                     clean[tuple(exps)] = c
         self.coeffs = clean
@@ -389,13 +407,24 @@ def _prefix_products(monomials, values, one):
         yield payload, products[-1]
 
 
+@lru_cache(maxsize=None)
 def _packing(nvars: int):
     """(pack, unpack) between exponent vectors and int keys, nvars.bit_length()
-    bits per generator: no exponent at weight <= nvars exceeds nvars."""
+    bits per generator: no exponent at weight <= nvars exceeds nvars.  One
+    pair per nvars for the process; unpack keeps the tuple of each key it
+    has read, at most one per monomial of weight <= nvars, and hands the
+    same tuple out again."""
     shift = nvars.bit_length()
     mask = (1 << shift) - 1
-    return (lambda exps: sum(e << (shift * i) for i, e in enumerate(exps)),
-            lambda key: tuple((key >> (shift * i)) & mask for i in range(nvars)))
+    table: Dict[int, Tuple[int, ...]] = {}
+
+    def unpack(key: int) -> Tuple[int, ...]:
+        exps = table.get(key)
+        if exps is None:
+            exps = table[key] = tuple((key >> (shift * i)) & mask for i in range(nvars))
+        return exps
+
+    return lambda exps: sum(e << (shift * i) for i, e in enumerate(exps)), unpack
 
 
 def _cleared(nvars: int, pieces: Sequence[Dict[Tuple[int, ...], Fraction]]):
@@ -477,11 +506,12 @@ def powersums_to_pontryagin(poly: GradedPolynomial) -> GradedPolynomial:
     return poly.substitute(_ph_in_elementary(poly.nvars))
 
 
-def _l_log_coefficients(K: int) -> List[Fraction]:
+@lru_cache(maxsize=None)
+def _l_log_coefficients(K: int) -> Tuple[Fraction, ...]:
     """c_1..c_K, c_k the x^{2k}-coefficient of log(x/tanh x)."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    return list(l_series_doubled_root(2 * K).log().coeffs[2::2])
+    return tuple(l_series_doubled_root(2 * K).log().coeffs[2::2])
 
 
 def l_class(K: int) -> GradedPolynomial:

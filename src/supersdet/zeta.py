@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -90,8 +91,12 @@ def free_r_exponent(n: int) -> Fraction:
     return 2 * pf - det / 2
 
 
+# typed, because the key (bc, 4.0) equals (bc, 4): a float two_k must fail
+# as it does uncached, not receive the record built for the int
+@lru_cache(maxsize=None, typed=True)
 def trace_inv_power(bc: BoundaryCondition, two_k: int) -> RPower:
     """Exact trace of (d/dt)^{-2k} on the given mode set, as rational * r^{2k}.
+    Built once per (bc, two_k) for the process; callers share the record.
 
     Periodic (nonzero integer modes): 2 r^{2k} zeta(2k)/(2 pi i)^{2k};
     antiperiodic (half-integer modes): the same times (2^{2k} - 1).

@@ -239,6 +239,51 @@ def test_manifold_subcommands_report_input_errors(capsys, tmp_path, argv, messag
     assert (code, out, err) == (2, "", message)
 
 
+def test_number_past_the_digit_limit_is_a_usage_error(capsys, tmp_path):
+    # json reads an integer literal through int(), which refuses more
+    # digits than sys.get_int_max_str_digits() with a plain ValueError
+    digits = sys.get_int_max_str_digits() + 1
+    path = tmp_path / "big.json"
+    path.write_text('{"name": "big", "dimension": 4, "kind": "pontryagin_numbers", '
+                    f'"signature": {"1" * digits}, "pontryagin_numbers": {{"p1": 3}}}}')
+    for argv in (["lgenus", "--manifold", str(path)],
+                 ["pushforward", "--manifold", str(path), "--class", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("supersdet: ") and f"{digits} digits" in err
+
+
+TOO_LONG = (f"supersdet: the result has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for writing an integer\n")
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_result_past_the_digit_limit_is_a_usage_error(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    # the signature of cp2 is 1, so the pushforward of a constant is itself
+    code, out, _ = run_cli(capsys, "pushforward", "--manifold", "cp2",
+                           "--class", f"1e{limit - 1}", "--format", fmt)
+    assert code == 0 and str(10 ** (limit - 1)) in out
+    for expr in (f"1e{limit}", "1e5000", f"1e-{limit}"):
+        code, out, err = run_cli(capsys, "pushforward", "--manifold", "cp2",
+                                 "--class", expr, "--format", fmt)
+        assert (code, out, err) == (2, "", TOO_LONG)
+
+
+def test_genus_past_the_digit_limit_is_a_usage_error(capsys, tmp_path):
+    # each number fits the limit, but the genus (7 p2 - p1^2)/45 has the
+    # product of their two denominators as its denominator
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** (limit - 1)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "name": "long", "dimension": 8, "kind": "pontryagin_numbers", "signature": 0,
+        "pontryagin_numbers": {"p2": {"num": 1, "den": big},
+                               "p1^2": {"num": 1, "den": big + 1}}}))
+    code, out, err = run_cli(capsys, "lgenus", "--manifold", str(path))
+    assert (code, out, err) == (2, "", TOO_LONG)
+
+
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     from supersdet import series as cs
     from supersdet import zeta as zs

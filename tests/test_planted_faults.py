@@ -78,8 +78,8 @@ FAULTS = {
     # either basis
     "l-class-log-sign": Fault(
         "series.py",
-        "return list(l_series_doubled_root(2 * K).log().coeffs[2::2])",
-        "return [-c for c in l_series_doubled_root(2 * K).log().coeffs[2::2]]",
+        "return tuple(l_series_doubled_root(2 * K).log().coeffs[2::2])",
+        "return tuple(-c for c in l_series_doubled_root(2 * K).log().coeffs[2::2])",
         {"L-polynomials against brute force": ("_check_l_polynomials_oracle", 0),
          "superdeterminant equals the signature class": ("_check_sdet_identity", 0)}),
     # exp is shared by sdet and the oracle, so an exp with a wrong recurrence

@@ -57,6 +57,24 @@ def test_truncated_series_ring():
         TruncatedSeries([Fraction(0), Fraction(1)]).log()
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/3", 1j, None])
+def test_truncated_series_takes_only_exact_rationals(bad):
+    with pytest.raises(TypeError):
+        TruncatedSeries([1, bad])
+    with pytest.raises(TypeError):
+        TruncatedSeries.from_function(lambda k: bad if k else 1, 2)
+    with pytest.raises(TypeError):
+        TruncatedSeries([1, 1]).rescale_root(bad)
+
+
+def test_truncated_series_converts_ints():
+    series = TruncatedSeries([1, Fraction(1, 2), -3])
+    assert series.coeffs == (1, Fraction(1, 2), -3)
+    assert all(type(c) is Fraction for c in series.coeffs)
+    assert TruncatedSeries.from_function(lambda k: k, 2).coeffs == (0, 1, 2)
+    assert type(TruncatedSeries([1, 1]).rescale_root(2).coeffs[1]) is Fraction
+
+
 def test_characteristic_series_coefficients():
     ls = cs.l_series(8)
     assert ls.coefficient(0) == 1
@@ -281,6 +299,18 @@ def test_graded_polynomial_truncation_and_exp():
         GradedPolynomial.one(K, "p").exp()
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/3", 1j])
+def test_graded_polynomial_takes_only_exact_rationals(bad):
+    with pytest.raises(TypeError):
+        GradedPolynomial(1, "p", {(1,): bad})
+
+
+def test_graded_polynomial_converts_ints():
+    poly = GradedPolynomial(2, "p", {(1, 0): 3, (0, 1): Fraction(1, 2), (2, 0): 0})
+    assert poly.coeffs == {(1, 0): 3, (0, 1): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in poly.coeffs.values())
+
+
 def test_power_sums_in_elementary():
     # s2 = p1^2 - 2 p2, s3 = p1^3 - 3 p1 p2 + 3 p3
     K = 3
@@ -309,7 +339,8 @@ def test_the_two_bases_agree(K):
 
 @pytest.mark.parametrize("K", [0, -1])
 def test_signature_class_needs_a_positive_k(K):
-    for build in (cs.l_class, cs.l_polynomials, cs.l_class_in_ph):
+    # twice over: a raising call leaves nothing cached to be returned later
+    for build in 2 * (cs._l_log_coefficients, cs.l_class, cs.l_polynomials, cs.l_class_in_ph):
         with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
             build(K)
 
@@ -323,3 +354,43 @@ def test_l_polynomial_p_k_coefficient_closed_form():
         expected = Fraction(2) ** (2 * k) * (2 ** (2 * k - 1) - 1) * abs(cs.bernoulli(2 * k)) \
             / math.factorial(2 * k)
         assert L_k.coeffs[p_k] == expected, k
+
+
+# ---------------------------------------------------------------------------
+# the per-process tables
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("K", range(1, 17))
+def test_l_log_coefficients_are_one_shared_tuple(K):
+    coefficients = cs._l_log_coefficients(K)
+    assert isinstance(coefficients, tuple)
+    assert coefficients == cs.l_series_doubled_root(2 * K).log().coeffs[2::2]
+    assert cs._l_log_coefficients(K) is coefficients
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 7, 8, 16])
+def test_packing_is_one_pair_per_nvars(nvars):
+    assert cs._packing(nvars) is cs._packing(nvars)
+
+
+@st.composite
+def exponent_vectors(draw):
+    """(nvars, e) with nvars in 1..24 and e of weight sum_i i e_i <= nvars."""
+    nvars = draw(st.integers(1, 24))
+    left, exps = nvars, []
+    for i in draw(st.permutations(range(1, nvars + 1))):
+        e = draw(st.integers(0, left // i))
+        left -= i * e
+        exps.append((i, e))
+    return nvars, tuple(e for _i, e in sorted(exps))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(exponent_vectors())
+def test_packed_keys_round_trip(case):
+    nvars, exps = case
+    assert GradedPolynomial.weight_of(exps) <= nvars
+    pack, unpack = cs._packing(nvars)
+    assert unpack(pack(exps)) == exps
+    # the table hands out the tuple it kept
+    assert unpack(pack(exps)) is unpack(pack(list(exps)))

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -81,10 +82,21 @@ def test_trace_matches_mode_sums(k):
 
 
 def test_trace_argument_validation():
-    with pytest.raises(ValueError):
-        zs.trace_inv_power(BC.PERIODIC, 3)
+    # 3 twice over: a raising call leaves nothing cached to be returned later
+    for two_k in (3, 0, -2, 3):
+        for bc in BC:
+            with pytest.raises(ValueError, match="two_k"):
+                zs.trace_inv_power(bc, two_k)
     with pytest.raises(ValueError):
         zs.regularized_product_power(0)
+
+
+def test_trace_record_is_built_once():
+    for bc in BC:
+        assert zs.trace_inv_power(bc, 6) is zs.trace_inv_power(bc, 6)
+        # a float order fails whether or not its int twin was built
+        with pytest.raises(TypeError):
+            zs.trace_inv_power(bc, 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +177,30 @@ def test_sdet_formal_is_the_signature_class(n, K):
 
 
 def test_k_zero_is_rejected():
-    # K = 0 leaves no ph variable to evaluate at; it is an error, not 1
-    with pytest.raises(ValueError, match="K"):
-        cs.l_class_in_ph(0)
-    with pytest.raises(ValueError, match="K"):
-        zs.sdet_report(4, 0)
-    with pytest.raises(ValueError, match="K"):
-        zs.sdet_formal(4, 0)
+    # K = 0 leaves no ph variable to evaluate at; it is an error, not 1, on
+    # every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="K"):
+            cs.l_class_in_ph(0)
+        with pytest.raises(ValueError, match="K"):
+            zs.sdet_report(4, 0)
+        with pytest.raises(ValueError, match="K"):
+            zs.sdet_formal(4, 0)
+
+
+def _canonical(report) -> str:
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("K", range(10, 14))
+def test_cold_and_warm_reports_agree(K):
+    # a caller that changed a shared table would change the warm report
+    for table in (cs._l_log_coefficients, cs._packing, zs.trace_inv_power):
+        table.cache_clear()
+    cold = _canonical(zs.sdet_report(4, K))
+    warm = _canonical(zs.sdet_report(4, K))
+    assert warm == cold
+    assert json.loads(cold)["equal"] is True
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
