@@ -10,14 +10,18 @@ weight piece, with packed int monomial keys, and divide back once per result
 coefficient.  pi never enters: the regularized determinants need only the
 rationals zeta(2k)/(2 pi i)^{2k} = -B_{2k}/(2 (2k)!) and their odd-mode
 counterparts, which come from the Bernoulli numbers.  Only ints and
-Fractions build a series or a polynomial; a float or a string is a TypeError.
+Fractions build a series or a polynomial or combine with one by + or *; a
+float or a string is a TypeError.
 
 Tables that depend on the order alone are built once per process and shared:
 the Bernoulli numbers, the Newton images, the coefficients of log(x/tanh x)
-(`_l_log_coefficients`, a tuple) and the key packing of each number of
-generators (`_packing`, whose unpack keeps one exponent tuple per key).  A
-process that asks for the same order again reuses them; a one-shot CLI call
-gains nothing from them.
+(`_l_log_coefficients`, a tuple), the signature class in ph (`l_class_in_ph`,
+the comparison target of the superdeterminant) and the key packing of each
+number of generators (`_packing`, whose unpack keeps one exponent tuple per
+key).  Every caller receives the same object and must not mutate it.  The
+caches are typed: a float order fails as it does uncached, never receiving the
+table of its int twin.  A process that asks for the same order again reuses
+them; a one-shot CLI call gains nothing from them.
 
 Root-variable convention.  `l_series` expands (x/2)/tanh(x/2), the form
 matched by the exponential product formulas; the signature class takes the
@@ -39,7 +43,7 @@ from . import terms
 # Bernoulli numbers and even zeta values
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m (first convention, B_1 = -1/2), via the binomial
     recurrence sum_j C(m+1, j) B_j = 0.  Odd m > 1 returns 0."""
@@ -114,6 +118,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self.coeffs])
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
@@ -247,6 +253,8 @@ class GradedPolynomial:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Fraction(other) * GradedPolynomial.one(self.nvars, self.basis)
+        elif not isinstance(other, GradedPolynomial):
+            return NotImplemented
         self._check(other)
         return GradedPolynomial._of(self.nvars, self.basis, terms.add(self.coeffs, other.coeffs))
 
@@ -261,6 +269,8 @@ class GradedPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return GradedPolynomial._of(self.nvars, self.basis, terms.scale(self.coeffs, other))
+        if not isinstance(other, GradedPolynomial):
+            return NotImplemented
         self._check(other)
         nvars, weight = self.nvars, self.weight_of
 
@@ -296,18 +306,32 @@ class GradedPolynomial:
 
     def exp(self) -> "GradedPolynomial":
         """Exponential of a polynomial with zero constant term, weight by
-        weight through the grading recurrence of terms.graded_series, on
-        integer pieces: with B the lcm of the denominators and X_j = B^j x_j
-        the weight-j piece, H_w = w! B^w F_w obeys H_0 = 1 and
-        H_w = sum_j j (w-1)!/(w-j)! X_j H_{w-j}.  Products never truncate."""
+        weight through the grading recurrence of terms.graded_series, summed
+        in one loop on integer pieces: with B the lcm of the denominators and
+        X_j = B^j x_j the weight-j piece, H_w = w! B^w F_w obeys H_0 = 1 and
+        H_w = sum_j j (w-1)!/(w-j)! X_j H_{w-j}.  Packed keys add as the
+        monomials multiply; products never truncate, and the zeros of a
+        weight piece are dropped once, when it is complete."""
         parts = [{} for _ in range(self.nvars + 1)]
         for e, c in self.coeffs.items():
             parts[self.weight_of(e)][e] = c
         if parts[0]:
             raise ValueError("exp needs zero constant term")
         B, X = _cleared(self.nvars, parts)
-        pieces = terms.graded_series(X, _Piece({0: 1}), lambda j, w: j * math.perm(w - 1, j - 1))
-        return _from_pieces(self.nvars, self.basis, pieces,
+        H = [{0: 1}]
+        for w in range(1, self.nvars + 1):
+            acc: Dict[int, int] = {}
+            for j in range(1, w + 1):
+                if not (X[j] and H[w - j]):
+                    continue
+                cj = j * math.perm(w - 1, j - 1)
+                for kx, cx in X[j].items():
+                    f = cj * cx
+                    for kh, ch in H[w - j].items():
+                        key = kx + kh
+                        acc[key] = acc.get(key, 0) + f * ch
+            H.append({key: c for key, c in acc.items() if c})
+        return _from_pieces(self.nvars, self.basis, H,
                             [math.factorial(w) * B ** w for w in range(self.nvars + 1)])
 
     def substitute(self, images: Sequence["GradedPolynomial"]) -> "GradedPolynomial":
@@ -380,12 +404,6 @@ class _Piece(dict):
 
     __slots__ = ()
 
-    def __add__(self, other: "_Piece") -> "_Piece":
-        return _Piece(terms.add(self, other))
-
-    def __rmul__(self, c: int) -> "_Piece":
-        return _Piece(terms.scale(self, c))
-
     def __mul__(self, other: "_Piece") -> "_Piece":
         return _Piece(terms.product(self.items(), other.items(), lambda a, b: (a + b, 1)))
 
@@ -407,7 +425,7 @@ def _prefix_products(monomials, values, one):
         yield payload, products[-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _packing(nvars: int):
     """(pack, unpack) between exponent vectors and int keys, nvars.bit_length()
     bits per generator: no exponent at weight <= nvars exceeds nvars.  One
@@ -435,7 +453,7 @@ def _cleared(nvars: int, pieces: Sequence[Dict[Tuple[int, ...], Fraction]]):
                for w, piece in enumerate(pieces)]
 
 
-def _from_pieces(nvars: int, basis: str, pieces: List[_Piece], dens: List[int]) -> GradedPolynomial:
+def _from_pieces(nvars: int, basis: str, pieces: List[Dict[int, int]], dens: List[int]) -> GradedPolynomial:
     """The polynomial with weight pieces pieces[w] / dens[w]: the one place
     where a result coefficient becomes a Fraction."""
     unpack = _packing(nvars)[1]
@@ -449,7 +467,7 @@ def _from_pieces(nvars: int, basis: str, pieces: List[_Piece], dens: List[int]) 
 # squared roots: (2k)! ph_k, or Newton's polynomial in the p_i
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def power_sum_in_elementary(k: int, nvars: int) -> GradedPolynomial:
     """The k-th power sum written in the elementary symmetric generators
     (basis "p"), via s_k = sum_{i<k} (-1)^{i-1} p_i s_{k-i} + (-1)^{k-1} k p_k."""
@@ -475,7 +493,7 @@ def _exp_of_power_sums(coefficients: Sequence[Fraction],
                GradedPolynomial(power_sums[0].nvars, power_sums[0].basis)).exp()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _elementary_in_ph(K: int) -> Tuple[GradedPolynomial, ...]:
     """e_1..e_K in the basis "ph": the weight parts of prod_j (1 + y_j)."""
     total = _exp_of_power_sums([Fraction((-1) ** (k - 1), k) for k in range(1, K + 1)],
@@ -491,7 +509,7 @@ def pontryagin_to_powersums(poly: GradedPolynomial) -> GradedPolynomial:
     return poly.substitute(_elementary_in_ph(poly.nvars))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _ph_in_elementary(K: int) -> Tuple[GradedPolynomial, ...]:
     """ph_1..ph_K in the elementary symmetric generators: s_k/(2k)!."""
     return tuple(Fraction(1, math.factorial(2 * k)) * power_sum_in_elementary(k, K)
@@ -506,7 +524,7 @@ def powersums_to_pontryagin(poly: GradedPolynomial) -> GradedPolynomial:
     return poly.substitute(_ph_in_elementary(poly.nvars))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _l_log_coefficients(K: int) -> Tuple[Fraction, ...]:
     """c_1..c_K, c_k the x^{2k}-coefficient of log(x/tanh x)."""
     if K < 1:
@@ -529,7 +547,9 @@ def l_polynomials(K: int) -> List[GradedPolynomial]:
     return [total.weight_component(k) for k in range(1, K + 1)]
 
 
+@lru_cache(maxsize=None, typed=True)
 def l_class_in_ph(K: int) -> GradedPolynomial:
     """The total signature class with s_k = (2k)! ph_k: an exp of a linear form
-    in ph, as the superdeterminant is, and the comparison target for it."""
+    in ph, as the superdeterminant is, and the comparison target for it.
+    Built once per K for the process; callers share it and must not mutate it."""
     return _exp_of_power_sums(_l_log_coefficients(K), _power_sums_in_ph(K))

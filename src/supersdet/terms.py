@@ -8,9 +8,10 @@ graded polynomials (series._Piece).  The functions here build such dicts and
 never store a zero coefficient, so every dict they return is clean.  What
 a key means, and how two keys multiply, stays with the algebra that owns
 it: the sign of a product of anticommuting generators, for one, is
-grassmann.sign.  The grading recurrence at the end sums every exponential
-and every unit inverse, over whatever grading its caller cuts the element
-into.  `Record` is the base of the package's small value classes.
+grassmann.sign.  The grading recurrence at the end sums the exponentials
+and unit inverses of series and Grassmann elements, over whatever grading
+its caller cuts the element into.  `Record` is the base of the package's
+small value classes.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ def graded_series(parts: Sequence, first, coefficient: Callable[[int, int], obje
 
         F_0 = first,   F_w = sum_{j=1..w} coefficient(j, w) * parts[j] * F_{w-j},
 
-    where parts[j] is the grade-j piece of an element x.  It sums every
-    exponential and every unit inverse in the package (Brent and Kung,
-    J. ACM 25, 1978; Knuth, TAOCP vol. 2, 4.7):
+    where parts[j] is the grade-j piece of an element x.  It sums the
+    exponentials and unit inverses of series and Grassmann elements (Brent
+    and Kung, J. ACM 25, 1978; Knuth, TAOCP vol. 2, 4.7):
 
     - first = 1 and coefficient j/w (exp_coefficient) give the pieces of
       exp(x), for x without a grade-0 piece that commutes with its pieces:
@@ -86,7 +87,8 @@ def graded_series(parts: Sequence, first, coefficient: Callable[[int, int], obje
     - first = 1/parts[0] and coefficient -first give the pieces of 1/x, for
       a central parts[0].
 
-    A product with a zero (falsy) factor is skipped.  Nothing above grade n
+    series.GradedPolynomial.exp runs the same recurrence for exp(x) in its
+    own integer loop on packed keys.  A product with a zero (falsy) factor is skipped.  Nothing above grade n
     is computed: the caller pads parts to the top grade the result can
     reach."""
     zero = 0 * first

@@ -89,8 +89,8 @@ FAULTS = {
     # images ph_k(p) are not
     "exp-recurrence-scale": Fault(
         "series.py",
-        "lambda j, w: j * math.perm(w - 1, j - 1)",
-        "lambda j, w: math.perm(w - 1, j - 1)",
+        "cj = j * math.perm(w - 1, j - 1)",
+        "cj = math.perm(w - 1, j - 1)",
         {"L-polynomials against brute force": ("_check_l_polynomials_oracle", 0),
          "Newton conversions invertible": ("_check_newton_roundtrip", 0),
          "degree parts in Pontryagin classes": ("_check_sdet_degree_parts", 1),

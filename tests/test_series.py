@@ -305,6 +305,59 @@ def test_graded_polynomial_takes_only_exact_rationals(bad):
         GradedPolynomial(1, "p", {(1,): bad})
 
 
+@pytest.mark.parametrize("bad", [0.5, "x", 1j])
+def test_operators_refuse_foreign_operands(bad):
+    # NotImplemented on both sides gives Python's own TypeError
+    poly = GradedPolynomial.generator(1, 2, "p")
+    for op in (operator.add, operator.mul):
+        with pytest.raises(TypeError):
+            op(poly, bad)
+        with pytest.raises(TypeError):
+            op(bad, poly)
+    series = TruncatedSeries([1, 2, 3])
+    with pytest.raises(TypeError):
+        series * bad
+    with pytest.raises(TypeError):
+        bad * series
+
+
+def test_mixed_contexts_stay_a_value_error():
+    poly = GradedPolynomial.generator(1, 2, "p")
+    for other in (GradedPolynomial.generator(1, 3, "p"), GradedPolynomial.generator(1, 2, "ph")):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(ValueError, match="mixed"):
+                op(poly, other)
+
+
+@st.composite
+def polynomials_without_constant_term(draw):
+    """nvars in 1..8 and up to three monomials of each weight 1..nvars, with
+    coefficients of assorted denominators."""
+    nvars = draw(st.integers(1, 8))
+    terms = {}
+    for w in range(1, nvars + 1):
+        for _ in range(draw(st.integers(0, 3))):
+            exps, left = [0] * nvars, w
+            while left:
+                i = draw(st.integers(1, left))
+                exps[i - 1] += 1
+                left -= i
+            terms[tuple(exps)] = draw(st.fractions(-20, 20, max_denominator=12).filter(bool))
+    return GradedPolynomial(nvars, "p", terms)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(polynomials_without_constant_term())
+def test_exp_is_the_truncated_power_series(x):
+    # exp(x) = sum_{n <= nvars} x^n / n!: x^n has weight >= n, so the sum stops
+    expected = GradedPolynomial.one(x.nvars, x.basis)
+    power = expected
+    for n in range(1, x.nvars + 1):
+        power = power * x
+        expected = expected + Fraction(1, math.factorial(n)) * power
+    assert x.exp() == expected
+
+
 def test_graded_polynomial_converts_ints():
     poly = GradedPolynomial(2, "p", {(1, 0): 3, (0, 1): Fraction(1, 2), (2, 0): 0})
     assert poly.coeffs == {(1, 0): 3, (0, 1): Fraction(1, 2)}
@@ -366,6 +419,33 @@ def test_l_log_coefficients_are_one_shared_tuple(K):
     assert isinstance(coefficients, tuple)
     assert coefficients == cs.l_series_doubled_root(2 * K).log().coeffs[2::2]
     assert cs._l_log_coefficients(K) is coefficients
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_l_class_in_ph_is_one_shared_polynomial(K):
+    cls = cs.l_class_in_ph(K)
+    assert cs.l_class_in_ph(K) is cls
+    assert cls == cs._exp_of_power_sums(cs._l_log_coefficients(K), cs._power_sums_in_ph(K))
+
+
+def test_every_table_is_typed():
+    tables = [f for f in vars(cs).values() if hasattr(f, "cache_parameters")]
+    assert cs.l_class_in_ph in tables and cs.power_sum_in_elementary in tables
+    assert all(f.cache_parameters()["typed"] for f in tables)
+
+
+@pytest.mark.parametrize("build, args", [(cs.power_sum_in_elementary, (2, 3)),
+                                         (cs.l_class_in_ph, (2,))])
+def test_a_float_order_fails_cold_and_warm(build, args):
+    # the key (2.0, 3) equals (2, 3): an untyped cache would hand the float
+    # the int's table once that was built
+    floated = (float(args[0]),) + args[1:]
+    build.cache_clear()
+    with pytest.raises(TypeError):
+        build(*floated)
+    build(*args)
+    with pytest.raises(TypeError):
+        build(*floated)
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 7, 8, 16])

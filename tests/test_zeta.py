@@ -195,12 +195,23 @@ def _canonical(report) -> str:
 @pytest.mark.parametrize("K", range(10, 14))
 def test_cold_and_warm_reports_agree(K):
     # a caller that changed a shared table would change the warm report
-    for table in (cs._l_log_coefficients, cs._packing, zs.trace_inv_power):
+    for table in (cs._l_log_coefficients, cs._packing, cs.l_class_in_ph, zs.trace_inv_power):
         table.cache_clear()
     cold = _canonical(zs.sdet_report(4, K))
     warm = _canonical(zs.sdet_report(4, K))
     assert warm == cold
     assert json.loads(cold)["equal"] is True
+
+
+@pytest.mark.parametrize("K", [1, 4, 10])
+def test_reports_agree_across_n_and_repeated_calls(K):
+    # the shared signature class is read, never changed, by every report
+    first = zs.sdet_report(1, K)
+    for n in (1, 2, 4, 8, 1):
+        report = zs.sdet_report(n, K)
+        assert report["n"] == n
+        assert dict(report, n=1) == first
+    assert first["equal"] is True
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
