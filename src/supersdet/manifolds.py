@@ -13,7 +13,6 @@ import json
 import re
 from fractions import Fraction
 from importlib import resources
-from itertools import product as iter_product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import terms
@@ -118,32 +117,6 @@ def l_genus(M: ManifoldLike) -> Fraction:
     return _pair(l_class(max(1, k)).weight_component(k), M.numbers.__getitem__)
 
 
-def product_manifold(M: PontryaginData, N: PontryaginData) -> PontryaginData:
-    """Pontryagin numbers of a product from those of the factors, through the
-    Whitney formula p(M x N) = p(M) p(N) and the bidegree splitting of the
-    fundamental class."""
-    wm, wn = M.dimension // 4, N.dimension // 4
-    w = wm + wn
-    numbers: Dict[Partition, Fraction] = {}
-    for partition in partitions_of(w):
-        total = Fraction(0)
-        # split every part p_l = sum_{a+b=l} p_a(M) p_b(N)
-        splits_per_part = [[(a, part - a) for a in range(part + 1)] for part in partition]
-        for assignment in iter_product(*splits_per_part):
-            left = tuple(sorted((a for a, _b in assignment if a), reverse=True))
-            right = tuple(sorted((b for _a, b in assignment if b), reverse=True))
-            if sum(left) != wm or sum(right) != wn:
-                continue
-            total += M.numbers[left] * N.numbers[right]
-        numbers[partition] = total
-    return PontryaginData(
-        name=f"{M.name}x{N.name}",
-        dimension=M.dimension + N.dimension,
-        numbers=numbers,
-        signature=M.signature * N.signature,
-    )
-
-
 def partitions_of(w: int) -> List[Partition]:
     out: List[Partition] = []
 
@@ -179,8 +152,7 @@ class CohomologyModel:
                  fundamental: str,
                  pontryagin_classes: Dict[int, Element],
                  signature: Fraction,
-                 numbers: Optional[Dict[Partition, Fraction]] = None,
-                 provenance: str = ""):
+                 numbers: Optional[Dict[Partition, Fraction]] = None):
         self.name = name
         self.dimension = dimension
         self.basis = list(basis)
@@ -190,7 +162,6 @@ class CohomologyModel:
         self.pontryagin_classes = pontryagin_classes
         self.signature = Fraction(signature)
         self.numbers = numbers
-        self.provenance = provenance
         self.unit = self._find_unit()
         self.validate()
 
@@ -421,12 +392,9 @@ def load_manifold(document: dict) -> ManifoldLike:
             raise ManifoldParseError(f"document.pontryagin_classes: bad key {key!r}")
         pclasses[int(m.group(1))] = parse_element(raw, f"document.pontryagin_classes.{key}")
 
-    return CohomologyModel(
-        name=name, dimension=dimension, basis=basis, products=products,
-        fundamental=fundamental, pontryagin_classes=pclasses,
-        signature=signature, numbers=numbers,
-        provenance=document.get("provenance", ""),
-    )
+    return CohomologyModel(name=name, dimension=dimension, basis=basis, products=products,
+                           fundamental=fundamental, pontryagin_classes=pclasses,
+                           signature=signature, numbers=numbers)
 
 
 BUILTIN_NAMES = ("cp2", "cp4", "hp2", "k3", "cp2xcp2", "k3xcp2")

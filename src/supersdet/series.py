@@ -5,8 +5,8 @@ Pontryagin classes p or the Pontryagin-character variables ph: the signature
 class in either basis and the Newton conversions between the two.
 
 All arithmetic is exact.  Coefficients are rationals; GradedPolynomial.exp
-and .substitute clear them to integer numerators over one denominator per
-weight piece, with packed int monomial keys, and divide back once per result
+clears them to integer numerators over one denominator per weight piece,
+with packed int monomial keys, and divides back once per result
 coefficient.  pi never enters: the regularized determinants need only the
 rationals zeta(2k)/(2 pi i)^{2k} = -B_{2k}/(2 (2k)!) and their odd-mode
 counterparts, which come from the Bernoulli numbers.  Only ints and
@@ -202,9 +202,9 @@ class GradedPolynomial:
 
     The basis label records which generators the exponent vectors refer to:
     "p" for Pontryagin classes, "ph" for Pontryagin-character components.
-    Conversions between the two bases are explicit maps.  coeffs maps
-    exponent tuples to nonzero Fractions; exp and substitute compute in the
-    integer form _Piece and return to it.
+    Conversions between the two bases are explicit maps, substitutions of
+    the generators.  coeffs maps exponent tuples of nonnegative ints to
+    nonzero Fractions.
     """
 
     __slots__ = ("nvars", "basis", "coeffs")
@@ -218,6 +218,8 @@ class GradedPolynomial:
             for exps, c in coeffs.items():
                 if len(exps) != nvars:
                     raise ValueError("exponent vector length mismatch")
+                if any(type(e) is not int or e < 0 for e in exps):
+                    raise ValueError(f"exponents must be nonnegative ints, got {exps!r}")
                 c = _rational(c)
                 if c and self.weight_of(exps) <= nvars:
                     clean[tuple(exps)] = c
@@ -307,19 +309,23 @@ class GradedPolynomial:
     def exp(self) -> "GradedPolynomial":
         """Exponential of a polynomial with zero constant term, weight by
         weight through the grading recurrence of terms.graded_series, summed
-        in one loop on integer pieces: with B the lcm of the denominators and
+        in one loop on integers: with B the lcm of the denominators and
         X_j = B^j x_j the weight-j piece, H_w = w! B^w F_w obeys H_0 = 1 and
-        H_w = sum_j j (w-1)!/(w-j)! X_j H_{w-j}.  Packed keys add as the
-        monomials multiply; products never truncate, and the zeros of a
-        weight piece are dropped once, when it is complete."""
-        parts = [{} for _ in range(self.nvars + 1)]
+        H_w = sum_j j (w-1)!/(w-j)! X_j H_{w-j}.  A piece maps packed keys,
+        which add as the monomials multiply, to numerators; products never
+        truncate, and the zeros of a weight piece are dropped once, when it is
+        complete."""
+        nvars, weight = self.nvars, self.weight_of
+        pack, unpack = _packing(nvars)
+        B = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        X: List[Dict[int, int]] = [{} for _ in range(nvars + 1)]
         for e, c in self.coeffs.items():
-            parts[self.weight_of(e)][e] = c
-        if parts[0]:
+            w = weight(e)
+            X[w][pack(e)] = c.numerator * (B ** w // c.denominator)
+        if X[0]:
             raise ValueError("exp needs zero constant term")
-        B, X = _cleared(self.nvars, parts)
         H = [{0: 1}]
-        for w in range(1, self.nvars + 1):
+        for w in range(1, nvars + 1):
             acc: Dict[int, int] = {}
             for j in range(1, w + 1):
                 if not (X[j] and H[w - j]):
@@ -331,30 +337,22 @@ class GradedPolynomial:
                         key = kx + kh
                         acc[key] = acc.get(key, 0) + f * ch
             H.append({key: c for key, c in acc.items() if c})
-        return _from_pieces(self.nvars, self.basis, H,
-                            [math.factorial(w) * B ** w for w in range(self.nvars + 1)])
+        dens = [math.factorial(w) * B ** w for w in range(nvars + 1)]
+        return GradedPolynomial._of(nvars, self.basis, {unpack(key): Fraction(n, dens[w])
+                                                        for w, piece in enumerate(H)
+                                                        for key, n in piece.items()})
 
     def substitute(self, images: Sequence["GradedPolynomial"]) -> "GradedPolynomial":
-        """Replace generator g_i by images[i-1], homogeneous of weight i; the
-        images share one context, the context of the result.  With D the lcm
-        of their denominators, Y_i = D^i images[i-1] is integral and a
-        monomial of weight w maps to its product of Y_i over D^w, built on
-        the prefix walk of _prefix_products."""
+        """Replace generator g_i by images[i-1], homogeneous of weight i: the
+        value at the images.  The images share one context, the context of
+        the result."""
         if len(images) != self.nvars:
             raise ValueError("need one image per generator")
         for i, image in enumerate(images, 1):
+            images[0]._check(image)
             if any(image.weight_of(e) != i for e in image.coeffs):
                 raise ValueError(f"image of generator {i} is not homogeneous of weight {i}")
-        nvars = images[0].nvars
-        D, Y = _cleared(nvars, [{}] + [image.coeffs for image in images])
-        d = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        out = [_Piece() for _ in range(nvars + 1)]
-        monomials = [(e, (w, c.numerator * (d // c.denominator))) for e, c in self.coeffs.items()
-                     if (w := self.weight_of(e)) <= nvars]
-        for (w, c), product in _prefix_products(monomials, Y[1:], _Piece({0: 1})):
-            for key, v in product.items():
-                terms.accumulate(out[w], key, c * v)
-        return _from_pieces(nvars, images[0].basis, out, [d * D ** w for w in range(nvars + 1)])
+        return self.evaluate(images)
 
     def evaluate(self, values: Sequence) -> object:
         """Evaluate at given generator values (anything with ring operations,
@@ -396,18 +394,6 @@ class GradedPolynomial:
     __repr__ = __str__
 
 
-class _Piece(dict):
-    """The integer work format of GradedPolynomial.exp and .substitute: one
-    weight piece, packed exponent key -> integer numerator, over a
-    denominator its caller keeps.  Monomials multiply by adding packed keys;
-    no caller multiplies past the top weight, so no field carries."""
-
-    __slots__ = ()
-
-    def __mul__(self, other: "_Piece") -> "_Piece":
-        return _Piece(terms.product(self.items(), other.items(), lambda a, b: (a + b, 1)))
-
-
 def _prefix_products(monomials, values, one):
     """(payload, product of values[i] ** e[i]) for each (e, payload) of
     monomials.  The monomials are walked in sorted order of their factor
@@ -443,23 +429,6 @@ def _packing(nvars: int):
         return exps
 
     return lambda exps: sum(e << (shift * i) for i, e in enumerate(exps)), unpack
-
-
-def _cleared(nvars: int, pieces: Sequence[Dict[Tuple[int, ...], Fraction]]):
-    """B and the integer pieces B^w pieces[w], B the lcm of all denominators."""
-    pack = _packing(nvars)[0]
-    B = math.lcm(*(c.denominator for piece in pieces for c in piece.values()))
-    return B, [_Piece({pack(e): c.numerator * (B ** w // c.denominator) for e, c in piece.items()})
-               for w, piece in enumerate(pieces)]
-
-
-def _from_pieces(nvars: int, basis: str, pieces: List[Dict[int, int]], dens: List[int]) -> GradedPolynomial:
-    """The polynomial with weight pieces pieces[w] / dens[w]: the one place
-    where a result coefficient becomes a Fraction."""
-    unpack = _packing(nvars)[1]
-    return GradedPolynomial._of(nvars, basis, {unpack(key): Fraction(n, dens[w])
-                                               for w, piece in enumerate(pieces)
-                                               for key, n in piece.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 An element of each algebra (Grassmann elements, which also model
 polynomial forms and sections; graded polynomials; cohomology-ring
-elements) is a dict from a monomial key to an exact coefficient: a
-Fraction, a GaussianRational, or an int in the integer work format of
-graded polynomials (series._Piece).  The functions here build such dicts and
+elements) is a dict from a monomial key to an exact coefficient, a
+Fraction or a GaussianRational.  The functions here build such dicts and
 never store a zero coefficient, so every dict they return is clean.  What
 a key means, and how two keys multiply, stays with the algebra that owns
 it: the sign of a product of anticommuting generators, for one, is

@@ -1,9 +1,10 @@
 """Byte pins for the sizes the benchmark digests do not reach: the canonical
 JSON of the L-class oracle at K = 14, 15 and 16, and `lpoly --k 16`.  The
 digests come from an all-Fraction exp and Newton substitution of the p-basis
-class, so they hold the integer work format of series, and the oracle's own
-exp in the ph basis, to the same bytes; at K = 16 the Newton route is checked
-against its pin too."""
+class, so they hold the integer work format of GradedPolynomial.exp, and the
+oracle's own exp in the ph basis, to the same bytes; at K = 16 the Newton
+route, the p-basis class evaluated at the images e_i(ph), is checked against
+its pin too."""
 
 import hashlib
 import json

@@ -12,9 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "supersdet").glob("*.py"))
 SOURCES = LIBRARY + sorted((ROOT / "benchmarks").glob("*.py"))
 
-# whether product manifolds stay is an open ROADMAP item
-ALLOWED = {"product_manifold"}
-
 
 def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -37,7 +34,7 @@ def _references():
 
 
 def test_every_definition_is_referenced():
-    used = _references() | ALLOWED
+    used = _references()
     unused = []
     for path in LIBRARY:
         for node in ast.walk(_parse(path)):

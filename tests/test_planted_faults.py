@@ -104,13 +104,6 @@ FAULTS = {
          "concrete curvature cross-check": ("_check_concrete_instance", 0),
          "degree parts in Pontryagin classes": ("_check_sdet_degree_parts", 1),
          "superdeterminant equals the signature class": ("_check_sdet_identity", 1)}),
-    # the oracle substitutes nothing, so sdet == L cannot see it
-    "substitute-image-scale": Fault(
-        "series.py",
-        "[d * D ** w for w",
-        "[d * D for w",
-        {"Newton conversions invertible": ("_check_newton_roundtrip", 0),
-         "degree parts in Pontryagin classes": ("_check_sdet_degree_parts", 1)}),
     "substitute-prefix-reuse": Fault(
         "series.py",
         "del products[shared + 1:]",

@@ -285,6 +285,16 @@ def test_substitute_needs_homogeneous_images():
         poly.substitute(ph[:2])
 
 
+def test_substitute_needs_images_of_one_context():
+    # a ph image beside p images, or an image with another nvars, is refused,
+    # not relabelled or packed with the wrong width
+    poly = GradedPolynomial(2, "p", {(1, 0): 1, (0, 1): 1})
+    for images in ([GradedPolynomial.generator(1, 2, "ph"), GradedPolynomial.generator(2, 2, "p")],
+                   [GradedPolynomial.generator(1, 2, "p"), GradedPolynomial.generator(2, 3, "p")]):
+        with pytest.raises(ValueError, match="mixed"):
+            poly.substitute(images)
+
+
 def test_graded_polynomial_truncation_and_exp():
     K = 3
     p1 = GradedPolynomial.generator(1, K, "p")
@@ -356,6 +366,14 @@ def test_exp_is_the_truncated_power_series(x):
         power = power * x
         expected = expected + Fraction(1, math.factorial(n)) * power
     assert x.exp() == expected
+
+
+@pytest.mark.parametrize("exps", [(-1, 0), (0, -2), (0.5, 0), (Fraction(1), 0), ("1", 0), (True, 0)])
+def test_graded_polynomial_needs_nonnegative_int_exponents(exps):
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        GradedPolynomial(2, "p", {exps: 1})
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        GradedPolynomial.from_json(2, "p", [{"monomial": list(exps), "num": 1, "den": 1}])
 
 
 def test_graded_polynomial_converts_ints():
