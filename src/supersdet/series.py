@@ -15,8 +15,9 @@ float or a string is a TypeError.
 
 Tables that depend on the order alone are built once per process and shared:
 the Bernoulli numbers, the Newton images, the coefficients of log(x/tanh x)
-(`_l_log_coefficients`, a tuple), the signature class in ph (`l_class_in_ph`,
-the comparison target of the superdeterminant) and the key packing of each
+(`_l_log_coefficients`, a tuple), the log of the signature class in ph
+(`l_log_in_ph`, the comparison target of the superdeterminant's log), the
+class itself (`l_class_in_ph`, its exp) and the key packing of each
 number of generators (`_packing`, whose unpack keeps one exponent tuple per
 key).  Every caller receives the same object and must not mutate it.  The
 caches are typed: a float order fails as it does uncached, never receiving the
@@ -348,6 +349,8 @@ class GradedPolynomial:
         the result."""
         if len(images) != self.nvars:
             raise ValueError("need one image per generator")
+        if not images:
+            raise ValueError("zero images give the result no context")
         for i, image in enumerate(images, 1):
             images[0]._check(image)
             if any(image.weight_of(e) != i for e in image.coeffs):
@@ -357,10 +360,13 @@ class GradedPolynomial:
     def evaluate(self, values: Sequence) -> object:
         """Evaluate at given generator values (anything with ring operations,
         e.g. Fractions or even Grassmann elements); the result has the type
-        of the values.  A monomial with a positive exponent on a zero value
-        is skipped; the others walk _prefix_products, coefficient last."""
+        of the values, and over zero generators it is the constant, a
+        Fraction.  A monomial with a positive exponent on a zero value is
+        skipped; the others walk _prefix_products, coefficient last."""
         if len(values) != self.nvars:
             raise ValueError("need one value per generator")
+        if not values:
+            return self.coeffs.get((), Fraction(0))
         zeros = [i for i, v in enumerate(values) if not v]
         monomials = [(e, c) for e, c in self.coeffs.items() if not any(e[i] for i in zeros)]
         return sum((c * product for c, product in _prefix_products(monomials, values, 1)),
@@ -453,13 +459,19 @@ def _power_sums_in_ph(K: int) -> List[GradedPolynomial]:
     return [math.factorial(2 * k) * GradedPolynomial.generator(k, K, "ph") for k in range(1, K + 1)]
 
 
+def _power_sum_form(coefficients: Sequence[Fraction],
+                    power_sums: Sequence[GradedPolynomial]) -> GradedPolynomial:
+    """The linear form sum_k c_k s_k, c_k = coefficients[k-1] and s_k =
+    power_sums[k-1] in the basis of the result, whose exp is a multiplicative
+    sequence (Hirzebruch; Milnor-Stasheff, Characteristic Classes, 19)."""
+    return sum((c * s for c, s in zip(coefficients, power_sums)),
+               GradedPolynomial(power_sums[0].nvars, power_sums[0].basis))
+
+
 def _exp_of_power_sums(coefficients: Sequence[Fraction],
                        power_sums: Sequence[GradedPolynomial]) -> GradedPolynomial:
-    """The multiplicative sequence exp(sum_k c_k s_k), c_k = coefficients[k-1]
-    and s_k = power_sums[k-1] in the basis of the result (Hirzebruch;
-    Milnor-Stasheff, Characteristic Classes, 19)."""
-    return sum((c * s for c, s in zip(coefficients, power_sums)),
-               GradedPolynomial(power_sums[0].nvars, power_sums[0].basis)).exp()
+    """The multiplicative sequence exp(sum_k c_k s_k) of _power_sum_form."""
+    return _power_sum_form(coefficients, power_sums).exp()
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -517,8 +529,18 @@ def l_polynomials(K: int) -> List[GradedPolynomial]:
 
 
 @lru_cache(maxsize=None, typed=True)
+def l_log_in_ph(K: int) -> GradedPolynomial:
+    """The log of the signature class in ph: the linear form
+    sum_k c_k (2k)! ph_k, c_k the coefficients of log(x/tanh x).  It is the
+    comparison target of the superdeterminant's log.  Built once per K for
+    the process; callers share it and must not mutate it."""
+    return _power_sum_form(_l_log_coefficients(K), _power_sums_in_ph(K))
+
+
+@lru_cache(maxsize=None, typed=True)
 def l_class_in_ph(K: int) -> GradedPolynomial:
-    """The total signature class with s_k = (2k)! ph_k: an exp of a linear form
-    in ph, as the superdeterminant is, and the comparison target for it.
-    Built once per K for the process; callers share it and must not mutate it."""
-    return _exp_of_power_sums(_l_log_coefficients(K), _power_sums_in_ph(K))
+    """The total signature class with s_k = (2k)! ph_k, the exp of
+    `l_log_in_ph(K)` by construction: an exp of a linear form in ph, as the
+    superdeterminant is.  Built once per K for the process; callers share it
+    and must not mutate it."""
+    return l_log_in_ph(K).exp()

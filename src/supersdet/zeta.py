@@ -14,13 +14,20 @@ exponential of a terminating series.  Free parts are assigned by the
 zeta-function of the integer mode sequence {(2 pi k / r)^n} (exponent n/2 in
 r, the 2 pi contribution cancelling identically); mode sums of inverse powers
 collapse to Bernoulli rationals.  The curvature parts are Fredholm
-determinants, which `sdet` combines in one formula.  They depend on the
-curvature only through its scaled traces (i r)^{2k} Tr(R^{2k}), so `sdet`
-reads the list of those.  The formal ones are _ph_scale(k) ph_k, in
-Pontryagin-character generators; a concrete Grassmann matrix reads its own
-off R^k.  Trace normalization is calibrated so that the formal variables
-pair with classical Pontryagin classes under the Newton conversion (see
-curvature_to_ph).
+determinants, whose logs `sdet_log` combines in one formula; `sdet` is its
+exp.  They depend on the curvature only through its scaled traces
+(i r)^{2k} Tr(R^{2k}), so `sdet_log` reads the list of those.
+
+The formal traces are _ph_scale(k) ph_k, in Pontryagin-character
+generators; a concrete Grassmann matrix reads its own off R^k.  Trace
+normalization is calibrated so that the formal variables pair with classical
+Pontryagin classes under the Newton conversion (see curvature_to_ph).
+
+`sdet_report` decides the central identity on the logs: sdet_log of the
+formal traces against `l_log_in_ph(K)`, the linear form whose exp is the
+signature class.  The logs decide it because exp is injective on polynomials
+with zero constant term: the weight-w part of exp(x) is x_w plus a polynomial
+in x_1..x_{w-1}, so exp(x) = exp(y) gives x_w = y_w by induction on w.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .grassmann import GrassmannElement, _mul_even, even, odd, scalar, sign
 from .series import (
     GradedPolynomial,
     l_class_in_ph,
+    l_log_in_ph,
     lambda_over_2pii,
     zeta_over_2pii,
 )
@@ -281,33 +289,50 @@ def fredholm_log_det(traces: Sequence, bc: BoundaryCondition):
         tau = trace_inv_power(bc, 2 * k)
         # (i r)^{2k} Tr(R^{2k}) carries r^{+2k}; tau's rational part carries the
         # matching r^{-2k} once the mode trace 2 r^{2k} Z_k is divided by r^{2k}
-        acc = acc + trace * Fraction(-1, 2 * k) * tau.coefficient
+        # the two scalars multiply first: one scaling of the trace per factor
+        acc = acc + trace * (Fraction(-1, 2 * k) * tau.coefficient)
     return acc
 
 
-def sdet(traces: Sequence, pp: bool = False):
-    """The zeta-superdeterminant pf(D_eta1) pf(D_eta2) / det(D_a)^{1/2}, with
-    the boundary conditions of PA_BOUNDARY (eta2 periodic too when pp), from
-    the scaled traces of the curvature (see fredholm_log_det).
+def sdet_log(traces: Sequence, pp: bool = False):
+    """The log of the zeta-superdeterminant pf(D_eta1) pf(D_eta2) /
+    det(D_a)^{1/2}, with the boundary conditions of PA_BOUNDARY (eta2
+    periodic too when pp), from the scaled traces of the curvature (see
+    fredholm_log_det).
 
     A Pfaffian is det^{1/2}, D_eta1 carries no curvature, and D_a =
     (d/dt)(d/dt - i R) has the Fredholm factor of a first-order block, so
-    the value is exp((1/2)(log det_F(D_eta2) - log det_F(D_a))).  The radius
+    the log is (1/2)(log det_F(D_eta2) - log det_F(D_a)).  The radius
     powers of the free parts cancel (free_r_exponent).
     """
     eta2 = BoundaryCondition.PERIODIC if pp else PA_BOUNDARY["eta2"]
-    log_total = (fredholm_log_det(traces, eta2)
-                 - fredholm_log_det(traces, PA_BOUNDARY["a"])) * Fraction(1, 2)
-    return log_total.exp()
+    return (fredholm_log_det(traces, eta2)
+            - fredholm_log_det(traces, PA_BOUNDARY["a"])) * Fraction(1, 2)
+
+
+def sdet(traces: Sequence, pp: bool = False):
+    """The zeta-superdeterminant, the exp of sdet_log."""
+    return sdet_log(traces, pp).exp()
+
+
+def _check_orders(n: int, K: int) -> None:
+    """The fiber dimension n and the order K must be ints >= 1; a bool is
+    refused, as GradedPolynomial refuses it for an exponent."""
+    for name, value in (("n", n), ("K", K)):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
+def _formal_traces(K: int) -> list:
+    """The formal scaled traces _ph_scale(k) ph_k, k = 1..K."""
+    return [_ph_scale(k) * GradedPolynomial.generator(k, K, "ph") for k in range(1, K + 1)]
 
 
 def sdet_formal(n: int, K: int, pp: bool = False) -> GradedPolynomial:
     """Formal-mode superdeterminant as a graded polynomial in ph_1..ph_K.  The
     fiber dimension n enters only the free parts, which cancel."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    return sdet([_ph_scale(k) * GradedPolynomial.generator(k, K, "ph")
-                 for k in range(1, K + 1)], pp)
+    _check_orders(n, K)
+    return sdet(_formal_traces(K), pp)
 
 
 def sdet_concrete(matrix: CurvatureMatrix, pp: bool = False) -> GrassmannElement:
@@ -342,16 +367,34 @@ def substitute_ph(poly: GradedPolynomial, values: Sequence[GrassmannElement]) ->
 
 
 def sdet_report(n: int, K: int, mode: str = "formal", pp: bool = False) -> dict:
-    """Machine-readable superdeterminant report."""
+    """Machine-readable superdeterminant report.
+
+    The mode, then n and K, are checked before anything is built.  The
+    formal verdict is decided on the logs: sdet_log of the formal traces
+    against l_log_in_ph(K), or against zero under pp.  Both sides are exps
+    of polynomials with no constant term, and such an exp is injective: its
+    weight-w part is x_w plus a polynomial in x_1..x_{w-1}.  Equal logs make
+    the value the exp of an equal argument, l_class_in_ph(K) itself (one
+    under pp), so "sdet" and "l_class" then share one JSON list; only an
+    unequal log is exponentiated.  The concrete verdict compares the formal
+    polynomial sdet_formal(n, K) with the class, and the concrete value with
+    the class at the curvature's ph values.
+    """
+    if mode not in ("formal", "concrete"):
+        raise ValueError("mode must be formal or concrete")
+    _check_orders(n, K)
     l_cls = l_class_in_ph(K)
+    l_json = l_cls.to_json()
     if mode == "formal":
-        value = sdet_formal(n, K, pp=pp)
-        if pp:
-            equal = value == GradedPolynomial.one(K, "ph")
+        log = sdet_log(_formal_traces(K), pp)
+        equal = log == (GradedPolynomial(K, "ph") if pp else l_log_in_ph(K))
+        if not equal:
+            value_json = log.exp().to_json()
+        elif pp:
+            value_json = GradedPolynomial.one(K, "ph").to_json()
         else:
-            equal = value == l_cls
-        value_json = value.to_json()
-    elif mode == "concrete":
+            value_json = l_json
+    else:
         matrix = demo_curvature()
         if n != matrix.n:
             raise ValueError(f"concrete mode ships a dimension-{matrix.n} instance")
@@ -365,14 +408,12 @@ def sdet_report(n: int, K: int, mode: str = "formal", pp: bool = False) -> dict:
             equal = sdet_formal(n, K) == l_cls \
                 and (value - substitute_ph(l_cls, phs)).is_zero()
         value_json = str(value)
-    else:
-        raise ValueError("mode must be formal or concrete")
     return {
         "n": n,
         "K": K,
         "mode": mode,
         "sector": "PP" if pp else "PA",
         "sdet": value_json,
-        "l_class": l_cls.to_json(),
+        "l_class": l_json,
         "equal": bool(equal),
     }

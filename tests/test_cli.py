@@ -463,22 +463,25 @@ def test_sdet_computes_each_side_once(capsys, monkeypatch, fmt):
     from supersdet import series as cs
     from supersdet import zeta as zs
 
-    calls = {"sdet_formal": 0, "l_class_in_ph": 0}
+    calls = {"sdet_log": 0, "l_class_in_ph": 0, "exp": 0}
 
-    def counted(module, name):
+    def counted(module, name, key=None):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return original(*args, **kwargs)
         return wrapper
 
+    # with the class warm, equal logs leave nothing to exponentiate
+    cs.l_class_in_ph(3)
     for module in (cs, zs):
         monkeypatch.setattr(module, "l_class_in_ph", counted(module, "l_class_in_ph"))
-    monkeypatch.setattr(zs, "sdet_formal", counted(zs, "sdet_formal"))
+    monkeypatch.setattr(zs, "sdet_log", counted(zs, "sdet_log"))
+    monkeypatch.setattr(cs.GradedPolynomial, "exp", counted(cs.GradedPolynomial, "exp"))
     code, out, _ = run_cli(capsys, "sdet", "--n", "4", "--k", "3", "--format", fmt)
     assert code == 0 and out
-    assert calls == {"sdet_formal": 1, "l_class_in_ph": 1}
+    assert calls == {"sdet_log": 1, "l_class_in_ph": 1, "exp": 0}
 
 
 def test_connection_free_expansion_fails_the_linearized_check(capsys, monkeypatch):

@@ -285,6 +285,16 @@ def test_substitute_needs_homogeneous_images():
         poly.substitute(ph[:2])
 
 
+def test_evaluate_over_zero_generators_is_the_constant():
+    for poly, constant in ((GradedPolynomial.one(0, "p"), 1), (GradedPolynomial(0, "p"), 0),
+                           (GradedPolynomial(0, "ph", {(): Fraction(-3, 7)}), Fraction(-3, 7))):
+        value = poly.evaluate([])
+        assert type(value) is Fraction and value == constant
+        # with no image there is no context for the result to take
+        with pytest.raises(ValueError, match="no context"):
+            poly.substitute([])
+
+
 def test_substitute_needs_images_of_one_context():
     # a ph image beside p images, or an image with another nvars, is refused,
     # not relabelled or packed with the wrong width
@@ -368,6 +378,22 @@ def test_exp_is_the_truncated_power_series(x):
     assert x.exp() == expected
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(polynomials_without_constant_term(), st.data())
+def test_exp_tells_apart_arguments_one_monomial_apart(x, data):
+    # the weight-w part of exp(x) is x_w plus a polynomial in x_1..x_{w-1}, so
+    # exp is injective on polynomials with no constant term: the superdeterminant
+    # report decides its identity on the logs for that reason
+    nvars = x.nvars
+    exps, left = [0] * nvars, data.draw(st.integers(1, nvars))
+    while left:
+        i = data.draw(st.integers(1, left))
+        exps[i - 1] += 1
+        left -= i
+    delta = data.draw(st.fractions(-20, 20, max_denominator=12).filter(bool))
+    assert (x + GradedPolynomial(nvars, x.basis, {tuple(exps): delta})).exp() != x.exp()
+
+
 @pytest.mark.parametrize("exps", [(-1, 0), (0, -2), (0.5, 0), (Fraction(1), 0), ("1", 0), (True, 0)])
 def test_graded_polynomial_needs_nonnegative_int_exponents(exps):
     with pytest.raises(ValueError, match="nonnegative ints"):
@@ -444,6 +470,19 @@ def test_l_class_in_ph_is_one_shared_polynomial(K):
     cls = cs.l_class_in_ph(K)
     assert cs.l_class_in_ph(K) is cls
     assert cls == cs._exp_of_power_sums(cs._l_log_coefficients(K), cs._power_sums_in_ph(K))
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_l_class_in_ph_is_the_exp_of_the_shared_log(K):
+    log = cs.l_log_in_ph(K)
+    assert cs.l_log_in_ph(K) is log
+    assert log == sum((c * math.factorial(2 * k) * GradedPolynomial.generator(k, K, "ph")
+                       for k, c in enumerate(cs._l_log_coefficients(K), 1)),
+                      GradedPolynomial(K, "ph"))
+    assert cs.l_class_in_ph(K) == log.exp()
+    assert cs.l_log_in_ph.cache_parameters()["typed"]
+    with pytest.raises(TypeError):
+        cs.l_log_in_ph(float(K))
 
 
 def test_every_table_is_typed():

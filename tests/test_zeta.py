@@ -214,6 +214,71 @@ def test_reports_agree_across_n_and_repeated_calls(K):
     assert first["equal"] is True
 
 
+def _exp_level_report(n, K, pp):
+    """The formal report as built from the exp: sdet_formal's JSON, and the
+    verdict of the polynomial comparison."""
+    value = zs.sdet_formal(n, K, pp)
+    return {"n": n, "K": K, "mode": "formal", "sector": "PP" if pp else "PA",
+            "sdet": value.to_json(), "l_class": cs.l_class_in_ph(K).to_json(),
+            "equal": value == (cs.GradedPolynomial.one(K, "ph") if pp else cs.l_class_in_ph(K))}
+
+
+@pytest.mark.parametrize("pp", [False, True])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("K", range(1, 15))
+def test_log_level_report_is_the_exp_level_report(K, n, pp):
+    report = zs.sdet_report(n, K, pp=pp)
+    assert _canonical(report) == _canonical(_exp_level_report(n, K, pp))
+    assert report["equal"] is True
+
+
+def _one_ph_off(poly):
+    return poly + Fraction(1, 7) * cs.GradedPolynomial.generator(poly.nvars, poly.nvars, "ph")
+
+
+@pytest.mark.parametrize("K", [1, 3, 6])
+def test_unequal_logs_report_the_exp_of_their_own_log(monkeypatch, K):
+    # a target off by ph_K: the verdict is false, and the value is the report's
+    # own log exponentiated
+    monkeypatch.setattr(zs, "l_log_in_ph", lambda K: _one_ph_off(cs.l_log_in_ph(K)))
+    report = zs.sdet_report(4, K)
+    assert report["equal"] is False
+    assert report["sdet"] == zs.sdet_log(zs._formal_traces(K)).exp().to_json()
+    # a log off by ph_K, in either sector: its exp is the value, not the class
+    # or one
+    monkeypatch.undo()
+    real = zs.sdet_log
+    monkeypatch.setattr(zs, "sdet_log", lambda traces, pp=False: _one_ph_off(real(traces, pp)))
+    for pp in (False, True):
+        report = zs.sdet_report(4, K, pp=pp)
+        assert report["equal"] is False
+        assert report["sdet"] == _one_ph_off(real(zs._formal_traces(K), pp)).exp().to_json()
+        assert report["sdet"] != report["l_class"]
+
+
+@pytest.mark.parametrize("n, K", [(0, 4), (-3, 4), (True, 4), (1, True), (1, 0), (1, False),
+                                  (4.0, 4), (4, 4.0)])
+def test_report_and_formal_refuse_a_bad_n_or_k(monkeypatch, n, K):
+    built = []
+    monkeypatch.setattr(zs, "l_class_in_ph", lambda K: built.append(K))
+    for mode in ("formal", "concrete"):
+        with pytest.raises(ValueError, match=r"(n|K) must be an int >= 1"):
+            zs.sdet_report(n, K, mode)
+    with pytest.raises(ValueError, match=r"(n|K) must be an int >= 1"):
+        zs.sdet_formal(n, K)
+    # nothing was built, and no table was keyed by the bad order
+    assert built == []
+
+
+def test_report_checks_its_mode_first(monkeypatch):
+    built = []
+    monkeypatch.setattr(zs, "l_class_in_ph", lambda K: built.append(K))
+    for n, K in ((4, 4), (0, True)):
+        with pytest.raises(ValueError, match="mode"):
+            zs.sdet_report(n, K, "nonsense")
+    assert built == []
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_pp_sector_is_one(K):
     assert zs.sdet_formal(4, K, pp=True) == cs.GradedPolynomial.one(K, "ph")
